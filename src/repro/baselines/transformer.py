@@ -43,8 +43,8 @@ class TransformerPredictor(Module):
         if x.shape[0] > self.max_nodes:
             idx = np.linspace(0, x.shape[0] - 1, self.max_nodes).astype(int)
             x = x[idx]
-        h = self.embed(Tensor(x))
+        h = self.embed(Tensor(x[None]))    # one sequence: (1, n, dim)
         for layer in self.layers:
             h = layer(h)
-        pooled = self.final_ln(h.mean(axis=0).reshape(1, -1))
+        pooled = self.final_ln(h.mean(axis=1))
         return self.head(pooled).sigmoid().reshape(())

@@ -41,30 +41,23 @@ class ANEELayer(Module):
         self.w_m = Parameter(init.xavier_uniform((hidden, hidden), rng))
         self.attn_a = Parameter(init.xavier_uniform((2 * hidden, 1), rng))
 
-    def forward(self, h: Tensor, e: Tensor,
-                edge_index: np.ndarray) -> tuple[Tensor, Tensor]:
-        """One message-passing round.
+    def forward(self, h: Tensor, e: Tensor, edge_index: np.ndarray,
+                edgeless_mask: "np.ndarray | None" = None,
+                ) -> tuple[Tensor, Tensor]:
+        """One message-passing round over a packed disjoint union.
 
         ``h``: (n, node_in) node states; ``e``: (m, edge_in) edge states;
-        ``edge_index``: (2, m) int array of (src, dst).
-        Returns updated ``(h', e')`` of widths ``hidden``.
-        """
-        return self.forward_batch(h, e, edge_index)
+        ``edge_index``: (2, m) int array of (src, dst).  Returns updated
+        ``(h', e')`` of widths ``hidden``.
 
-    def forward_batch(self, h: Tensor, e: Tensor, edge_index: np.ndarray,
-                      edgeless_mask: "np.ndarray | None" = None,
-                      ) -> tuple[Tensor, Tensor]:
-        """Message passing over a packed disjoint union of graphs.
-
-        Because aggregation follows ``edge_index`` and edges never cross
-        graph boundaries, running the packed node/edge arrays of a whole
-        minibatch through this method is mathematically identical to one
-        :meth:`forward` call per member graph — with one corner: a graph
-        with *no* edges returns its node transform ``h̄`` from
-        :meth:`forward`, whereas scatter-aggregation would zero its rows.
-        ``edgeless_mask`` — an ``(n, 1)`` 0/1 float array marking the
-        nodes of edgeless member graphs — substitutes the ``h̄`` rows for
-        exactly those nodes, preserving per-graph semantics.
+        Aggregation follows ``edge_index`` and edges never cross graph
+        boundaries, so the packed nodes and edges of a whole minibatch
+        run as one call.  A graph with *no* edges keeps its node
+        transform ``h̄`` (the ``e.shape[0] == 0`` return), whereas
+        scatter aggregation would zero its rows when it shares a batch
+        with graphs that have edges.  ``edgeless_mask`` — an ``(n, 1)``
+        0/1 float array marking the nodes of edgeless member graphs —
+        substitutes the ``h̄`` rows for exactly those nodes.
         """
         n = h.shape[0]
         src, dst = edge_index[0], edge_index[1]

@@ -62,15 +62,14 @@ class GraphormerLayer(Module):
 
     def forward(self, h: Tensor, spd: np.ndarray,
                 key_bias: "np.ndarray | None" = None) -> Tensor:
-        """``h``: (n, dim) node states; ``spd``: (n, n) distance buckets.
+        """``h``: (B, n, dim) node states; ``spd``: (B, n, n) buckets.
 
-        Batched execution passes ``h`` as (B, n_max, dim) padded states
-        with ``spd`` as (B, n_max, n_max) buckets and ``key_bias`` as the
-        (B, 1, n_max) additive validity mask (``-1e30`` on padded key
-        slots), which keeps attention block-diagonal: a node can never
-        attend to a padding slot or to another graph in the batch.
+        ``key_bias`` is the (B, 1, n) additive validity mask of a padded
+        batch (``-1e30`` on padded key slots), which keeps attention
+        block-diagonal: a node can never attend to a padding slot or to
+        another graph in the batch.  None when nothing is padded.
         """
-        bias = self.spd_bias[spd]  # gather -> (n, n) | (B, n, n) Tensor
+        bias = self.spd_bias[spd]  # gather -> (B, n, n) Tensor
         if key_bias is not None:
             bias = bias + key_bias
         return self.block(h, attn_bias=bias)

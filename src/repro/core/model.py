@@ -4,6 +4,12 @@ Composition: ANEE layer(s) encode node+edge features → Graphormer layers
 propagate with structural attention → Set Transformer decoder pools the
 node set → MLP head emits occupancy.  The head's sigmoid keeps predictions
 in the physically valid (0, 1) occupancy range.
+
+There is one numeric body, :meth:`DNNOccu.forward_batch`, over a collated
+minibatch.  The per-graph :meth:`~DNNOccu.forward` and
+:meth:`~DNNOccu.predict` run it on a batch of one, and
+:meth:`~DNNOccu.predict_batch` may replay it as a compiled tape
+(docs/compile.md).
 """
 
 from __future__ import annotations
@@ -83,59 +89,59 @@ class DNNOccu(Module):
         self.head_fc2.weight.data *= 0.1
 
     def forward(self, features: GraphFeatures) -> Tensor:
-        """Predict occupancy for one encoded graph; returns a () Tensor."""
-        h = Tensor(features.node_features)
-        e = Tensor(features.edge_features)
-        for layer in self.anee:
-            h, e = layer(h, e, features.edge_index)
+        """Predict occupancy for one encoded graph; returns a () Tensor.
 
-        spd = self._spd(features)
-        for layer in self.graphormer:
-            h = layer(h, spd)
-
-        pooled = self.decoder(h)                      # (k, hidden)
-        flat = pooled.reshape(1, pooled.shape[0] * pooled.shape[1])
-        z = self.head_fc1(flat).relu()
-        out = self.head_fc2(z).sigmoid()
-        return out.reshape(())
+        One graph is a batch of one: :meth:`forward_batch` is the only
+        numeric body.
+        """
+        # Imported lazily: core must not depend on perf at import time.
+        from ..perf.batching import collate
+        return self.forward_batch(collate([features])).reshape(())
 
     def forward_batch(self, batch) -> Tensor:
         """Vectorized forward over a collated minibatch; returns ``(B,)``.
 
         ``batch`` is a :class:`~repro.perf.batching.GraphBatch`.  Message
         passing runs on the packed disjoint union (edges never cross
-        member graphs), attention on the padded dense view under the
-        block-diagonal validity mask; predictions and gradients match a
-        loop of :meth:`forward` calls within 1e-6 (see
-        docs/performance.md for the equivalence argument).
+        member graphs), attention on the dense ``(B, n_max, hidden)``
+        view.  When members differ in size the view is padded and a
+        ``-1e30`` key mask keeps attention block-diagonal, so a member's
+        answer does not depend on its batch mates beyond float
+        reassociation (see docs/performance.md).
         """
         h = Tensor(batch.node_features)
         e = Tensor(batch.edge_features)
         for layer in self.anee:
-            h, e = layer.forward_batch(h, e, batch.edge_index,
-                                       edgeless_mask=batch.edgeless_mask)
+            h, e = layer(h, e, batch.edge_index,
+                         edgeless_mask=batch.edgeless_mask)
 
         hidden = h.shape[1]
         b, n_max = batch.node_mask.shape
-        # pack -> pad: one appended zero row serves every padding slot,
-        # so the gather's backward is a pure scatter-add.
-        h_ext = Tensor.concat([h, Tensor(np.zeros((1, hidden)))], axis=0)
-        h = h_ext[batch.pad_index].reshape(b, n_max, hidden)
+        key_bias = None
+        if b * n_max != batch.total_nodes:
+            # pack -> pad: one appended zero row serves every padding
+            # slot, so the gather's backward is a pure scatter-add.
+            # Without padding the packed rows already are the dense
+            # view; skipping the identity gather and the all-zero mask
+            # changes no numbers.
+            h_ext = Tensor.concat([h, Tensor(np.zeros((1, hidden)))],
+                                  axis=0)
+            h = h_ext[batch.pad_index]
+            key_bias = batch.key_bias
+        h = h.reshape(b, n_max, hidden)
 
         for layer in self.graphormer:
-            h = layer(h, batch.spd, key_bias=batch.key_bias)
+            h = layer(h, batch.spd, key_bias=key_bias)
 
-        pooled = self.decoder(h, key_bias=batch.key_bias)  # (B, k, hidden)
+        pooled = self.decoder(h, key_bias=key_bias)        # (B, k, hidden)
         flat = pooled.reshape(b, pooled.shape[1] * pooled.shape[2])
         z = self.head_fc1(flat).relu()
         out = self.head_fc2(z).sigmoid()                   # (B, 1)
         return out.reshape((b,))
 
     def predict(self, features: GraphFeatures) -> float:
-        """Inference-only scalar prediction."""
-        from ..tensor import no_grad
-        with no_grad():
-            return float(self.forward(features).data)
+        """Inference-only scalar prediction (a batch of one)."""
+        return float(self.predict_batch([features])[0])
 
     def traced_executor(self):
         """This model's lazily created trace-and-replay executor."""
@@ -189,16 +195,3 @@ class DNNOccu(Module):
                         "batched forwards that fell back to eager after "
                         "a trace or replay error").inc()
         return np.array(self.forward_batch(batch).data)
-
-    @staticmethod
-    def _spd(features: GraphFeatures) -> np.ndarray:
-        """Cached shortest-path-distance buckets for the graph.
-
-        Delegates to :func:`repro.perf.batching.ensure_spd`, whose memo is
-        keyed by the *content hash* of the topology — a fresh
-        ``GraphFeatures`` object for an already-seen structure reuses the
-        matrix instead of recomputing it per object.
-        """
-        # Imported lazily: core must not depend on perf at import time.
-        from ..perf.batching import ensure_spd
-        return ensure_spd(features)

@@ -33,8 +33,8 @@ class MAB(Module):
     def forward(self, x: Tensor, y: Tensor,
                 key_bias: "np.ndarray | None" = None) -> Tensor:
         """``key_bias`` — additive pre-softmax mask on the attention onto
-        ``y`` (``(B, 1, n)``, ``-1e30`` on padded slots); used by the
-        batched execution path so pooling never reads padding."""
+        ``y`` (``(B, 1, n)``, ``-1e30`` on padded slots), so pooling a
+        padded batch never reads padding; None when nothing is padded."""
         h = self.ln1(x + self.attn(x, y, attn_bias=key_bias))
         return self.ln2(h + self.ffn(h))
 
@@ -62,18 +62,17 @@ class PMA(Module):
 
     def forward(self, h: Tensor,
                 key_bias: "np.ndarray | None" = None) -> Tensor:
-        seeds = self.seeds
-        if h.ndim == 3:
-            # Broadcast the shared seeds over the batch axis; the
-            # broadcast-add routes each member's seed gradient back into
-            # the single shared parameter.
-            seeds = self.seeds.reshape(1, *self.seeds.shape) \
-                + Tensor(np.zeros((h.shape[0], 1, 1)))
+        """Pool ``(B, n, dim)`` node sets into ``(B, k, dim)``."""
+        # Broadcast the shared seeds over the batch axis; the
+        # broadcast-add routes each member's seed gradient back into the
+        # single shared parameter.
+        seeds = self.seeds.reshape(1, *self.seeds.shape) \
+            + Tensor(np.zeros((h.shape[0], 1, 1)))
         return self.mab(seeds, self.ffn(h), key_bias=key_bias)
 
 
 class SetTransformerDecoder(Module):
-    """PMA_k → SAB × num_sabs → FFN, producing (k, dim)."""
+    """PMA_k → SAB × num_sabs → FFN: ``(B, n, dim)`` → ``(B, k, dim)``."""
 
     def __init__(self, dim: int, num_heads: int, k: int, num_sabs: int,
                  rng: np.random.Generator):

@@ -275,9 +275,9 @@ class Trainer:
                             * (1.0 / len(batch))
                     else:
                         loss = None
-                        # perf: per-sample-ok — reference path kept for
-                        # models without forward_batch and for the
-                        # batched-equivalence tests.
+                        # perf: per-sample-ok — the default: padding
+                        # mixed zoo sizes made batched epochs slower and
+                        # larger (docs/performance.md).
                         for i in batch:
                             sample = train[i]
                             pred = self.model(sample.features)

@@ -3,8 +3,8 @@
 One worker = one :class:`~repro.serve.ModelSession` (private result +
 encoding LRUs) stacked on the shared on-disk
 :class:`~repro.perf.PredictionCache` tier.  :class:`WorkerCore` is the
-mode-agnostic serving logic — LRU, then shared tier, then forward —
-plus the deterministic per-request fault draw
+mode-agnostic serving logic — the session's cache ladder (LRU, then
+shared tier, then forward) — plus the deterministic per-request fault draw
 (:meth:`repro.resilience.FaultInjector.worker_fault`).
 
 Two hosts wrap the core behind one handle interface
@@ -158,42 +158,18 @@ class WorkerCore:
     def handle_many(self, requests) -> "list[tuple[float, str]]":
         """Serve a drained micro-batch of ``(graph, device_name)`` pairs.
 
-        Cache tiers resolve per request; the residual cache misses run
-        as **one** forward through
-        :meth:`~repro.serve.ModelSession.predict_features` — a single
-        miss keeps the eager per-graph forward (bit-identical to
+        Runs :meth:`~repro.serve.ModelSession.resolve` with the shared
+        tier: cache tiers resolve per request and the residual misses
+        run as one forward per size bucket — a single miss keeps the
+        eager batch of one (bit-identical to
         :meth:`~repro.core.DNNOccu.predict`), two or more replay the
         compiled batched tape (docs/compile.md).  Returns one
         ``(prediction, tier)`` pair per request, in request order.
         """
-        results: "list[tuple[float, str] | None]" = [None] * len(requests)
-        misses: "list[tuple[int, str, object]]" = []
-        for pos, (graph, device_name) in enumerate(requests):
-            device = get_device(device_name) if device_name \
-                else self.session.device
-            key = self.session.key_for(graph, device)
-            cached = self.session.results.get(key)
-            if cached is not None:
-                results[pos] = (float(cached), "lru")
-                continue
-            if self.shared is not None:
-                value = self.shared.get(key)
-                if value is not None:
-                    self.session.results.put(key, value)
-                    results[pos] = (float(value), "shared")
-                    continue
-            feats = self.session.encode(graph, device, key=key)
-            misses.append((pos, key, feats))
-        if misses:
-            values = self.session.predict_features(
-                [feats for _, _, feats in misses])
-            for (pos, key, _), value in zip(misses, values):
-                value = float(value)
-                self.session.results.put(key, value)
-                if self.shared is not None:
-                    self.shared.put(key, value)
-                results[pos] = (value, "forward")
-        return results
+        return self.session.resolve(
+            [(graph, get_device(name) if name else None)
+             for graph, name in requests],
+            shared=self.shared, batch_size=self.spec.max_batch)
 
 
 class InProcessWorker:

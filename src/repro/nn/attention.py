@@ -21,8 +21,7 @@ class MultiHeadAttention(Module):
     """Scaled dot-product attention with ``num_heads`` heads.
 
     Supports self-attention (``forward(x)``) and cross-attention
-    (``forward(q, kv)``) on inputs shaped ``(n, dim)`` — single sequences,
-    which is the natural shape for graph-node sets.
+    (``forward(q, kv)``) on batches of sets shaped ``(B, n, dim)``.
     """
 
     def __init__(self, dim: int, num_heads: int, rng: np.random.Generator):
@@ -44,42 +43,18 @@ class MultiHeadAttention(Module):
                 attn_bias: Tensor | None = None) -> Tensor:
         """Attend ``query`` over ``key_value`` (defaults to self-attention).
 
-        Accepts a single set ``(n, dim)`` or a batch of padded sets
-        ``(B, n, dim)``; with batched inputs every attention matrix is
-        computed per batch element, so sets never attend across the batch
-        axis.
+        Inputs are batches of sets ``(B, n, dim)``; every attention
+        matrix is computed per batch element, so sets never attend
+        across the batch axis.  A single set is a batch of one.
 
         ``attn_bias`` — optional additive bias applied to every head's
-        pre-softmax scores.  Shape ``(n_q, n_kv)`` for single sets;
-        ``(B, n_q, n_kv)`` or ``(B, 1, n_kv)`` (a pure key mask,
-        broadcast over queries) for batched ones.  Graphormer uses this
-        slot for its structural (shortest-path) encodings, and the
-        batched execution path adds the ``-1e30`` validity mask that
-        zeroes attention onto padded node slots.
+        pre-softmax scores, shaped ``(B, n_q, n_kv)`` or ``(B, 1, n_kv)``
+        (a pure key mask, broadcast over queries).  Graphormer uses this
+        slot for its structural (shortest-path) encodings plus the
+        ``-1e30`` validity mask that zeroes attention onto padded node
+        slots.
         """
         kv = query if key_value is None else key_value
-        if query.ndim == 3:
-            return self._forward_batched(query, kv, attn_bias)
-        n_q = query.shape[0]
-        n_kv = kv.shape[0]
-        h, d = self.num_heads, self.head_dim
-
-        # (n, dim) -> (heads, n, head_dim)
-        q = self.w_q(query).reshape(n_q, h, d).transpose(1, 0, 2)
-        k = self.w_k(kv).reshape(n_kv, h, d).transpose(1, 0, 2)
-        v = self.w_v(kv).reshape(n_kv, h, d).transpose(1, 0, 2)
-
-        scores = (q @ k.transpose(0, 2, 1)) * self.scale
-        if attn_bias is not None:
-            scores = scores + attn_bias.reshape(1, n_q, n_kv)
-        weights = scores.softmax(axis=-1)
-        out = weights @ v  # (heads, n_q, head_dim)
-        out = out.transpose(1, 0, 2).reshape(n_q, self.dim)
-        return self.w_o(out)
-
-    def _forward_batched(self, query: Tensor, kv: Tensor,
-                         attn_bias: Tensor | None) -> Tensor:
-        """Batched attention over padded sets: ``(B, n, dim)`` inputs."""
         b, n_q, _ = query.shape
         n_kv = kv.shape[1]
         h, d = self.num_heads, self.head_dim

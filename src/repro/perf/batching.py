@@ -15,8 +15,10 @@ A minibatch of variable-size graphs runs as ONE vectorized forward:
 The pack→pad conversion appends one shared zero row to the packed node
 matrix and gathers through :attr:`GraphBatch.pad_index`; its backward is
 a pure scatter-add, with every padding slot draining into the discarded
-zero row.  Batched predictions/gradients therefore match the per-graph
-path up to float reassociation (well within the 1e-6 gate).
+zero row.  A batch without padding (every member ``n_max`` nodes, which
+includes a batch of one) skips the gather and the mask.  A member's
+prediction and gradient therefore match its batch-of-one values up to
+float reassociation (well within the 1e-6 gate).
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ def ensure_spd(features: GraphFeatures) -> np.ndarray:
     """Shortest-path-distance buckets for ``features``, memoized twice over.
 
     Fast path: the ``_spd_cache`` attribute on the features object itself
-    (shared convention with ``DNNOccu._spd`` and the dataset cache's
-    persisted matrices).  Behind it sits a process-wide LRU keyed by the
-    *content hash* of the topology, so a freshly re-encoded
+    (shared convention with the dataset cache's persisted matrices).
+    Behind it sits a process-wide LRU keyed by the *content hash* of the
+    topology, so a freshly re-encoded
     ``GraphFeatures`` for an already-seen structure — the common case on
     the serving path and in repeated ``predict`` calls — reuses the matrix
     instead of re-running the O(n^3)-ish shortest-path sweep.
@@ -217,20 +219,27 @@ def bucket_by_size(
 ) -> list[tuple[list[int], list[GraphFeatures]]]:
     """Split ``features_list`` into size-homogeneous collate chunks.
 
-    Members are sorted by node count before chunking, so each chunk pads
-    to a near-uniform ``n_max`` and ``perf_batch_pad_waste`` drops versus
-    arrival-order chunking (a 14-node LeNet padded next to a 347-node ViT
-    wastes ~96% of its slots).  Returns ``(original_indices, chunk)``
-    pairs so callers can scatter chunk results back into arrival order —
-    sorting changes *packing*, never *which* graphs are predicted or what
-    they yield.
+    Members are sorted by node count and chunked in that order: a chunk
+    closes at ``batch_size`` members, or earlier when the next graph has
+    more than twice the nodes of the chunk's smallest.  Every member of
+    a chunk is then at least half its ``n_max``, so no chunk wastes more
+    than half its slots on padding (a 14-node LeNet padded next to a
+    347-node ViT would waste ~96% of its slots, and attention cost and
+    memory grow with the square of ``n_max``).  Returns
+    ``(original_indices, chunk)`` pairs so callers can scatter chunk
+    results back into arrival order — sorting changes *packing*, never
+    *which* graphs are predicted or what they yield.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = sorted(range(len(features_list)),
                    key=lambda i: features_list[i].num_nodes)
-    chunks = []
-    for start in range(0, len(order), batch_size):
-        idx = order[start:start + batch_size]
-        chunks.append((idx, [features_list[i] for i in idx]))
-    return chunks
+    groups: list[list[int]] = []
+    for i in order:
+        if groups and len(groups[-1]) < batch_size and \
+                features_list[i].num_nodes \
+                <= 2 * features_list[groups[-1][0]].num_nodes:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return [(idx, [features_list[i] for i in idx]) for idx in groups]

@@ -190,7 +190,7 @@ class ProfileCache:
             model_name=meta["model_name"],
             device_name=meta["device_name"])
         # The persisted SPD matrix rides along on the features object,
-        # matching the DNNOccu._spd / perf.batching.ensure_spd convention.
+        # matching the perf.batching.ensure_spd convention.
         object.__setattr__(features, "_spd_cache",
                            arrays["spd"].astype(np.intp))
         return CacheEntry(key=key, oom=False, profile=profile,

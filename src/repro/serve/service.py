@@ -16,16 +16,23 @@ by the :class:`~repro.serve.batcher.MicroBatcher`; a full queue sheds the
 request to a :class:`~repro.resilience.FallbackPredictor` chain instead
 of queueing unbounded latency.
 
-Numerical contract: a **single-request flush dispatches through
-``model.forward``** — bit-identical to a direct ``model.predict`` call —
-so serial callers (the scheduler's per-job queries) reproduce pre-service
-results exactly.  Multi-request flushes run the masked dense
-``forward_batch``, which matches per-graph execution within 1e-6 (in
-practice ~1e-15; see docs/performance.md).
+One cache ladder, :meth:`ModelSession.resolve`, serves bulk calls and
+fleet workers; the queued path splits it at the queue but publishes
+through the same :meth:`ModelSession.publish`, which never caches a
+non-finite answer.
+
+Numerical contract: :meth:`repro.core.DNNOccu.forward_batch` is the only
+numeric body, and a direct ``model.predict`` is a batch of one.  A
+single-request flush runs that same eager batch of one, so serial
+callers (the scheduler's per-job queries) reproduce direct results
+bit for bit.  A member of a multi-request flush (eager or traced replay)
+gets its answer alone within 1e-6 (in practice ~1e-15; see
+docs/performance.md).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 
@@ -121,16 +128,14 @@ class ModelSession:
     """
 
     def __init__(self, model, device: DeviceSpec, *,
-                 cache_size: int = 1024, traced: bool = True):
+                 cache_size: int = 1024):
         self.model = model
         self.device = device
         self.results = _LRU(cache_size)      # graph_key -> float
         self.encodings = _LRU(cache_size)    # graph_key -> GraphFeatures
         # Traced replay applies only to multi-graph batches, and only to
-        # models that opt in; single-graph requests stay on the eager
-        # per-graph forward (bit-identical).  See docs/compile.md.
-        self.traced = traced and getattr(
-            model, "supports_traced_batches", False)
+        # models that opt in.  See docs/compile.md.
+        self.traced = getattr(model, "supports_traced_batches", False)
 
     def key_for(self, graph, device: DeviceSpec | None = None) -> str:
         return graph_key(graph, device or self.device)
@@ -153,21 +158,83 @@ class ModelSession:
                     "serve requests served a memoized encoding").inc()
         return feats
 
+    def cached(self, key: str, shared=None) -> "tuple[float, str] | None":
+        """The cache tiers for one key: ``(value, tier)`` or None.
+
+        ``tier`` is ``"lru"`` (the result cache) or ``"shared"`` (the
+        optional ``shared`` :class:`~repro.perf.PredictionCache`, whose
+        hits are promoted into the LRU).  A non-finite shared entry is
+        a miss.
+        """
+        value = self.results.get(key)
+        if value is not None:
+            counter("serve_result_cache_hits_total",
+                    "serve requests answered from the result cache").inc()
+            return value, "lru"
+        counter("serve_result_cache_misses_total",
+                "serve requests that needed a forward pass").inc()
+        if shared is not None:
+            value = shared.get(key)
+            if value is not None and math.isfinite(value):
+                self.results.put(key, value)
+                return float(value), "shared"
+        return None
+
+    def publish(self, keys, values, shared=None) -> None:
+        """Store forward answers in the result LRU (and ``shared``).
+
+        A non-finite answer still goes back to its caller but is never
+        cached, so a poisoned input cannot keep answering from a cache
+        tier (or, through the on-disk tier, outlive a restart).
+        """
+        for key, value in zip(keys, values):
+            if math.isfinite(value):
+                self.results.put(key, value)
+                if shared is not None:
+                    shared.put(key, value)
+
     def predict_features(self, feats_list) -> list[float]:
         """Forward 1..B encoded graphs on the calling thread.
 
-        A single graph runs :meth:`~repro.core.DNNOccu.predict` (the
-        per-graph forward, bit-identical to a direct call); larger lists
-        run the masked dense batch — through the trace-and-replay
-        executor when the model supports it (``traced=False`` or the
-        ``REPRO_NO_TRACE`` environment knob restores eager batches).
+        Multi-graph lists replay a compiled tape when the model supports
+        it (the ``REPRO_NO_TRACE`` environment knob restores eager).  A
+        single graph runs eager: a traced plan per singleton shape would
+        compile on nearly every lone request.
         """
-        if len(feats_list) == 1:
-            return [self.model.predict(feats_list[0])]
-        if self.traced:
-            return [float(v) for v in
-                    self.model.predict_batch(feats_list, traced=True)]
-        return [float(v) for v in self.model.predict_batch(feats_list)]
+        if self.traced and len(feats_list) > 1:
+            values = self.model.predict_batch(feats_list, traced=True)
+        else:
+            values = self.model.predict_batch(feats_list)
+        return [float(v) for v in values]
+
+    def resolve(self, requests, shared=None, *,
+                batch_size: int) -> "list[tuple[float, str]]":
+        """Answer ``(graph, device)`` requests through the cache ladder.
+
+        Each request tries :meth:`cached`; the misses are encoded,
+        forwarded in size buckets of at most ``batch_size`` graphs and
+        stored by :meth:`publish`.  Returns one
+        ``(value, tier)`` pair per request, in request order, with
+        ``tier`` one of ``"lru"``, ``"shared"`` or ``"forward"``.
+        """
+        out: "list[tuple[float, str] | None]" = [None] * len(requests)
+        miss_pos: list[int] = []
+        miss_keys: list[str] = []
+        miss_feats: list[GraphFeatures] = []
+        for pos, (graph, device) in enumerate(requests):
+            key = self.key_for(graph, device)
+            out[pos] = self.cached(key, shared)
+            if out[pos] is None:
+                miss_pos.append(pos)
+                miss_keys.append(key)
+                miss_feats.append(self.encode(graph, device, key=key))
+        for idx, chunk in bucket_by_size(miss_feats, batch_size):
+            with span("serve.forward", batch=len(chunk)):
+                values = self.predict_features(chunk)
+            self.publish([miss_keys[j] for j in idx], values, shared)
+            for j, value in zip(idx, values):
+                out[miss_pos[j]] = (value, "forward")
+        return out
 
 
 class PredictorService:
@@ -176,9 +243,10 @@ class PredictorService:
     Parameters
     ----------
     model:
-        Anything with ``predict(features)`` / ``predict_batch(list)``
-        (normally a :class:`repro.core.DNNOccu`).  Ignored when
-        ``session`` is given.
+        Anything with ``predict_batch(list)`` (normally a
+        :class:`repro.core.DNNOccu`; models that set
+        ``supports_traced_batches`` also take ``traced=True``).  Ignored
+        when ``session`` is given.
     device:
         Default :class:`~repro.gpu.DeviceSpec` for requests.
     session:
@@ -300,18 +368,14 @@ class PredictorService:
     def _request(self, graph, device, start: float, rid, tid) -> Ticket:
         """Cache lookup → encode → enqueue (or shed), one request."""
         key = self.session.key_for(graph, device)
-        cached = self.session.results.get(key)
-        if cached is not None:
-            counter("serve_result_cache_hits_total",
-                    "serve requests answered from the result cache").inc()
+        hit = self.session.cached(key)
+        if hit is not None:
             ticket = Ticket()
-            ticket.set_result(cached)
+            ticket.set_result(hit[0])
             elapsed = self._observe_latency(start)
             self._finish(rid, tid, graph, device, elapsed, "served",
-                         "result_hit", cached)
+                         "result_hit", hit[0])
             return ticket
-        counter("serve_result_cache_misses_total",
-                "serve requests that needed a forward pass").inc()
         cache = "encoding_hit" if rid is not None and \
             self.session.encodings.get(key) is not None else "miss"
         with span("serve.encode"):
@@ -349,36 +413,15 @@ class PredictorService:
                 return self._predict_many(graphs, device)
 
     def _predict_many(self, graphs, device) -> np.ndarray:
-        out = np.zeros(len(graphs))
-        miss_idx: list[int] = []
-        miss_feats: list[GraphFeatures] = []
-        miss_keys: list[str] = []
-        for i, graph in enumerate(graphs):
-            self._count_request()
-            key = self.session.key_for(graph, device)
-            cached = self.session.results.get(key)
-            if cached is not None:
-                counter("serve_result_cache_hits_total",
-                        "serve requests answered from the result "
-                        "cache").inc()
-                out[i] = cached
-                continue
-            counter("serve_result_cache_misses_total",
-                    "serve requests that needed a forward pass").inc()
-            miss_idx.append(i)
-            miss_feats.append(self.session.encode(graph, device, key=key))
-            miss_keys.append(key)
-        for idx, chunk in bucket_by_size(miss_feats,
-                                         self.batcher.max_batch_size):
-            with span("serve.forward", batch=len(chunk)):
-                values = self.session.predict_features(chunk)
-            for j, value in zip(idx, values):
-                out[miss_idx[j]] = value
-                self.session.results.put(miss_keys[j], value)
+        self._count_request(len(graphs))
+        answers = self.session.resolve(
+            [(graph, device) for graph in graphs],
+            batch_size=self.batcher.max_batch_size)
+        out = np.array([value for value, _ in answers], dtype=float)
         if self.quality is not None:
-            for i, graph in enumerate(graphs):
+            for graph, value in zip(graphs, out):
                 self.quality.offer(graph, device or self.session.device,
-                                   float(out[i]))
+                                   float(value))
         return out
 
     def __call__(self, graph, device: DeviceSpec | None = None) \
@@ -391,11 +434,11 @@ class PredictorService:
         return self.predict(graph, device), 0.0
 
     # -- plumbing -------------------------------------------------------- #
-    def _count_request(self) -> None:
+    def _count_request(self, n: int = 1) -> None:
         counter("serve_requests_total",
-                "prediction requests accepted by the service").inc()
+                "prediction requests accepted by the service").inc(n)
         with self._stat_lock:
-            self._requests += 1
+            self._requests += n
 
     def _shed_request(self, graph, device, start: float,
                       rid, tid, reason: str = "queue full") -> Ticket:
@@ -446,7 +489,7 @@ class PredictorService:
         return float(mean)
 
     def _dispatch_batch(self, requests) -> list[float]:
-        """MicroBatcher dispatch: forward, fill the cache, record latency.
+        """MicroBatcher dispatch: forward, publish, record latency.
 
         Each queued item is a :class:`_Request`; runs on the dispatcher
         thread.  A forward failure records one flight ``error`` entry
@@ -464,8 +507,8 @@ class PredictorService:
                              batch=len(requests),
                              error=type(exc).__name__)
             raise
+        self.session.publish([r.key for r in requests], values)
         for req, value in zip(requests, values):
-            self.session.results.put(req.key, value)
             elapsed = self._observe_latency(req.start)
             self._finish(req.rid, req.tid, req.graph, req.device,
                          elapsed, "served", req.cache, value,

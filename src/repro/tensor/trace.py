@@ -119,10 +119,11 @@ def batch_signature(batch) -> tuple:
     """The structural key a compiled tape is valid for.
 
     Two batches with equal signatures execute the identical op sequence:
-    every shape in the forward is a function of these facts, and the two
-    data-dependent branches (``e.shape[0] == 0`` in ANEE and the
-    ``edgeless_mask.any()`` substitution) are pinned by the edge count
-    and the edgeless bit.
+    every shape in the forward is a function of these facts, and the
+    three data-dependent branches (``e.shape[0] == 0`` in ANEE, the
+    ``edgeless_mask.any()`` substitution and the padding branch taken
+    when ``B * n_max != N``) are pinned by the edge count, the edgeless
+    bit and the node counts.
     """
     nf, ef = batch.node_features, batch.edge_features
     return (int(batch.num_graphs), int(batch.n_max),

@@ -93,14 +93,14 @@ class TestSpatialEncoding:
 class TestGraphormerLayer:
     def test_shape_preserved(self, rng, chain_edges):
         layer = GraphormerLayer(8, 2, 16, rng)
-        spd = spatial_encoding(4, chain_edges)
-        out = layer(Tensor(rng.normal(size=(4, 8))), spd)
-        assert out.shape == (4, 8)
+        spd = spatial_encoding(4, chain_edges)[None]
+        out = layer(Tensor(rng.normal(size=(1, 4, 8))), spd)
+        assert out.shape == (1, 4, 8)
 
     def test_spd_bias_changes_attention(self, rng, chain_edges):
         layer = GraphormerLayer(8, 2, 16, rng)
-        spd = spatial_encoding(4, chain_edges)
-        x = Tensor(rng.normal(size=(4, 8)))
+        spd = spatial_encoding(4, chain_edges)[None]
+        x = Tensor(rng.normal(size=(1, 4, 8)))
         base = layer(x, spd).data.copy()
         layer.spd_bias.data[:] = np.linspace(-5, 5, len(layer.spd_bias.data))
         biased = layer(x, spd).data
@@ -108,8 +108,8 @@ class TestGraphormerLayer:
 
     def test_bias_gradient_flows(self, rng, chain_edges):
         layer = GraphormerLayer(8, 2, 16, rng)
-        spd = spatial_encoding(4, chain_edges)
-        layer(Tensor(rng.normal(size=(4, 8))), spd).sum().backward()
+        spd = spatial_encoding(4, chain_edges)[None]
+        layer(Tensor(rng.normal(size=(1, 4, 8))), spd).sum().backward()
         assert layer.spd_bias.grad is not None
         assert np.any(layer.spd_bias.grad != 0)
 
@@ -117,32 +117,33 @@ class TestGraphormerLayer:
 class TestSetTransformer:
     def test_mab_shape(self, rng):
         mab = MAB(8, 2, rng)
-        x = Tensor(rng.normal(size=(3, 8)))
-        y = Tensor(rng.normal(size=(7, 8)))
-        assert mab(x, y).shape == (3, 8)
+        x = Tensor(rng.normal(size=(1, 3, 8)))
+        y = Tensor(rng.normal(size=(1, 7, 8)))
+        assert mab(x, y).shape == (1, 3, 8)
 
     def test_sab_shape(self, rng):
         sab = SAB(8, 2, rng)
-        assert sab(Tensor(rng.normal(size=(5, 8)))).shape == (5, 8)
+        assert sab(Tensor(rng.normal(size=(1, 5, 8)))).shape == (1, 5, 8)
 
     def test_pma_pools_to_k(self, rng):
         pma = PMA(8, 2, k=3, rng=rng)
-        assert pma(Tensor(rng.normal(size=(11, 8)))).shape == (3, 8)
+        assert pma(Tensor(rng.normal(size=(2, 11, 8)))).shape == (2, 3, 8)
 
     def test_decoder_output_shape(self, rng):
         dec = SetTransformerDecoder(8, 2, k=1, num_sabs=2, rng=rng)
-        assert dec(Tensor(rng.normal(size=(9, 8)))).shape == (1, 8)
+        assert dec(Tensor(rng.normal(size=(1, 9, 8)))).shape == (1, 1, 8)
 
     def test_decoder_permutation_invariant(self, rng):
         # PMA pools a *set*: permuting input rows must not change output.
         dec = SetTransformerDecoder(8, 2, k=1, num_sabs=1, rng=rng)
-        x = rng.normal(size=(7, 8))
+        x = rng.normal(size=(1, 7, 8))
         perm = rng.permutation(7)
         out1 = dec(Tensor(x)).data
-        out2 = dec(Tensor(x[perm])).data
+        out2 = dec(Tensor(x[:, perm])).data
         np.testing.assert_allclose(out1, out2, atol=1e-9)
 
     def test_decoder_size_invariance_of_output_shape(self, rng):
         dec = SetTransformerDecoder(8, 2, k=2, num_sabs=1, rng=rng)
         for n in (1, 5, 50):
-            assert dec(Tensor(rng.normal(size=(n, 8)))).shape == (2, 8)
+            assert dec(Tensor(rng.normal(size=(1, n, 8)))).shape \
+                == (1, 2, 8)

@@ -62,13 +62,13 @@ class TestLayerNorm:
 class TestMultiHeadAttention:
     def test_self_attention_shape(self, rng):
         mha = MultiHeadAttention(8, 2, rng)
-        assert mha(Tensor(np.ones((5, 8)))).shape == (5, 8)
+        assert mha(Tensor(np.ones((1, 5, 8)))).shape == (1, 5, 8)
 
     def test_cross_attention_shape(self, rng):
         mha = MultiHeadAttention(8, 2, rng)
-        q = Tensor(np.ones((3, 8)))
-        kv = Tensor(np.ones((7, 8)))
-        assert mha(q, kv).shape == (3, 8)
+        q = Tensor(np.ones((2, 3, 8)))
+        kv = Tensor(np.ones((2, 7, 8)))
+        assert mha(q, kv).shape == (2, 3, 8)
 
     def test_dim_not_divisible_raises(self, rng):
         with pytest.raises(ValueError):
@@ -76,8 +76,8 @@ class TestMultiHeadAttention:
 
     def test_attn_bias_changes_output(self, rng):
         mha = MultiHeadAttention(8, 2, rng)
-        x = Tensor(rng.normal(size=(4, 8)))
-        bias = Tensor(rng.normal(size=(4, 4)) * 3)
+        x = Tensor(rng.normal(size=(1, 4, 8)))
+        bias = Tensor(rng.normal(size=(1, 4, 4)) * 3)
         base = mha(x).data
         biased = mha(x, attn_bias=bias).data
         assert not np.allclose(base, biased)
@@ -85,18 +85,18 @@ class TestMultiHeadAttention:
     def test_strong_negative_bias_masks_token(self, rng):
         # A -inf-like bias on one key makes its value irrelevant.
         mha = MultiHeadAttention(8, 2, rng)
-        x = rng.normal(size=(3, 8))
-        bias = np.zeros((3, 3))
-        bias[:, 2] = -1e9
+        x = rng.normal(size=(1, 3, 8))
+        bias = np.zeros((1, 3, 3))
+        bias[:, :, 2] = -1e9
         out1 = mha(Tensor(x), attn_bias=Tensor(bias)).data
         x2 = x.copy()
-        x2[2] += 100.0  # only reachable through the masked key
+        x2[0, 2] += 100.0  # only reachable through the masked key
         out2 = mha(Tensor(x2), attn_bias=Tensor(bias)).data
-        np.testing.assert_allclose(out1[:2], out2[:2], atol=1e-6)
+        np.testing.assert_allclose(out1[0, :2], out2[0, :2], atol=1e-6)
 
     def test_gradients_reach_all_projections(self, rng):
         mha = MultiHeadAttention(8, 2, rng)
-        mha(Tensor(rng.normal(size=(4, 8)))).sum().backward()
+        mha(Tensor(rng.normal(size=(1, 4, 8)))).sum().backward()
         for p in mha.parameters():
             assert p.grad is not None
 
@@ -104,13 +104,13 @@ class TestMultiHeadAttention:
 class TestTransformerEncoderLayer:
     def test_shape_preserved(self, rng):
         layer = TransformerEncoderLayer(8, 2, 16, rng)
-        assert layer(Tensor(np.ones((5, 8)))).shape == (5, 8)
+        assert layer(Tensor(np.ones((1, 5, 8)))).shape == (1, 5, 8)
 
     def test_residual_path_identity_at_zero_weights(self, rng):
         layer = TransformerEncoderLayer(8, 2, 16, rng)
         for p in layer.parameters():
             p.data[:] = 0.0
-        x = rng.normal(size=(4, 8))
+        x = rng.normal(size=(1, 4, 8))
         np.testing.assert_allclose(layer(Tensor(x)).data, x)
 
     def test_feedforward(self, rng):

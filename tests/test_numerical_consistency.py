@@ -14,7 +14,7 @@ class TestAttentionNumerics:
         """One-head attention equals the hand-computed softmax(QK^T/√d)V."""
         mha = MultiHeadAttention(4, 1, rng)
         x = rng.normal(size=(3, 4))
-        out = mha(Tensor(x)).data
+        out = mha(Tensor(x[None])).data[0]
 
         q = x @ mha.w_q.weight.data.T + mha.w_q.bias.data
         k = x @ mha.w_k.weight.data.T + mha.w_k.bias.data
@@ -27,7 +27,7 @@ class TestAttentionNumerics:
 
     def test_heads_partition_dim(self, rng):
         """2-head output differs from 1-head (heads are not a no-op)."""
-        x = rng.normal(size=(3, 8))
+        x = rng.normal(size=(1, 3, 8))
         one = MultiHeadAttention(8, 1, rng)
         two = MultiHeadAttention(8, 2, rng)
         two.load_state_dict(one.state_dict())
@@ -36,8 +36,8 @@ class TestAttentionNumerics:
     def test_uniform_attention_on_identical_tokens(self, rng):
         """Identical tokens attend uniformly: output rows are identical."""
         mha = MultiHeadAttention(8, 2, rng)
-        x = np.tile(rng.normal(size=(1, 8)), (5, 1))
-        out = mha(Tensor(x)).data
+        x = np.tile(rng.normal(size=(1, 1, 8)), (1, 5, 1))
+        out = mha(Tensor(x)).data[0]
         np.testing.assert_allclose(out, np.tile(out[:1], (5, 1)),
                                    atol=1e-10)
 

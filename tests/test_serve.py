@@ -3,9 +3,10 @@
 The contracts under test are the PR's acceptance gates:
 
 * service predictions match direct ``model.predict`` — **bit-identical**
-  for serial requests (single-request flushes dispatch the per-graph
-  forward), within 1e-6 for batched/bulk paths, across the full zoo and
+  for serial requests (single-request flushes run the same eager batch
+  of one), within 1e-6 for batched/bulk paths, across the full zoo and
   under any worker/arrival interleaving;
+* non-finite answers are returned but never cached;
 * flushes trigger on max-batch-size OR the deadline, whichever first;
 * the queue is bounded: overload sheds to the resilience fallback chain,
   counts the shed requests, and still resolves every ticket;
@@ -301,13 +302,13 @@ class TestCaches:
         g = _small_graphs(1)[0]
         model = _model()
         forwards = []
-        original = model.forward
+        original = model.forward_batch
 
-        def counting_forward(feats):
+        def counting_forward(batch):
             forwards.append(1)
-            return original(feats)
+            return original(batch)
 
-        model.forward = counting_forward
+        model.forward_batch = counting_forward
         with obs.observed() as (_, registry):
             with PredictorService(model, A100) as svc:
                 first = svc.predict(g)
@@ -373,6 +374,53 @@ class TestCaches:
 
 
 # --------------------------------------------------------------------- #
+# non-finite answers are returned but never cached
+# --------------------------------------------------------------------- #
+
+def _poison(session, graph) -> str:
+    """Memoize a NaN-poisoned encoding of ``graph``; returns its key."""
+    key = session.key_for(graph)
+    feats = encode_graph(graph, session.device)
+    feats.node_features[0, 0] = np.nan
+    session.encodings.put(key, feats)
+    return key
+
+
+class TestNonFinite:
+    def test_predict_does_not_cache_nan(self):
+        g = _small_graphs(1)[0]
+        with PredictorService(_model(), A100) as svc:
+            key = _poison(svc.session, g)
+            assert math.isnan(svc.predict(g))
+            assert svc.session.results.get(key) is None
+            assert math.isnan(svc.predict(g))  # recomputed, not cached
+
+    def test_predict_many_does_not_cache_nan(self):
+        graphs = _small_graphs(3)
+        with PredictorService(_model(), A100) as svc:
+            key = _poison(svc.session, graphs[1])
+            out = svc.predict_many(graphs)
+            assert math.isnan(out[1])
+            assert np.isfinite(out[[0, 2]]).all()
+            assert svc.session.results.get(key) is None
+            assert len(svc.session.results) == 2
+
+    def test_worker_does_not_publish_nan(self, tmp_path):
+        from repro.fleet.worker import WorkerCore, WorkerSpec
+        core = WorkerCore(WorkerSpec(worker_id=0, device_name="A100",
+                                     shared_cache_dir=str(tmp_path)))
+        graphs = _small_graphs(3)
+        key = _poison(core.session, graphs[1])
+        outs = core.handle_many([(g, None) for g in graphs])
+        assert [tier for _, tier in outs] == ["forward"] * 3
+        assert math.isnan(outs[1][0])
+        assert core.session.results.get(key) is None
+        assert core.shared.get(key) is None
+        again = core.handle_many([(g, None) for g in graphs])
+        assert [tier for _, tier in again] == ["lru", "forward", "lru"]
+
+
+# --------------------------------------------------------------------- #
 # size-bucketed collate (satellite perf fix)
 # --------------------------------------------------------------------- #
 
@@ -407,6 +455,16 @@ class TestBucketedCollate:
         per = np.array([model.predict(f) for f in feats])
         bucketed = model.predict_batch(feats, batch_size=2)
         np.testing.assert_allclose(bucketed, per, atol=1e-6, rtol=0)
+
+    @pytest.mark.parametrize("batch_size", (8, 32))
+    def test_zoo_chunks_waste_at_most_half(self, batch_size):
+        feats = [encode_graph(g, A100) for g in _zoo_graphs()]
+        chunks = bucket_by_size(feats, batch_size)
+        assert sorted(i for idx, _ in chunks for i in idx) \
+            == list(range(len(feats)))
+        for _, chunk in chunks:
+            assert len(chunk) <= batch_size
+            assert collate(chunk).pad_waste <= 0.5
 
     def test_bucket_by_size_partitions_all_indices(self):
         feats = [encode_graph(build_model(n, ModelConfig()), A100)

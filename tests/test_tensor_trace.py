@@ -231,16 +231,18 @@ class TestAdoption:
         ensure_spd(feats)
         assert session.predict_features([feats]) == [model.predict(feats)]
 
-    def test_session_batches_match_eager_within_1e6(self, model):
+    def test_session_batches_match_eager_within_1e6(self, model,
+                                                    monkeypatch):
         from repro.serve.service import ModelSession
         feats = [encode_graph(
             build_model(n, ModelConfig(batch_size=bs)), A100)
             for n in ("rnn", "lstm") for bs in (1, 2)]
         for f in feats:
             ensure_spd(f)
-        traced = ModelSession(model, A100).predict_features(feats)
-        eager = ModelSession(model, A100,
-                             traced=False).predict_features(feats)
+        session = ModelSession(model, A100)
+        traced = session.predict_features(feats)
+        monkeypatch.setenv("REPRO_NO_TRACE", "1")
+        eager = session.predict_features(feats)
         assert np.abs(np.array(traced) - np.array(eager)).max() <= 1e-6
 
     def test_no_trace_env_restores_eager(self, model, monkeypatch):
