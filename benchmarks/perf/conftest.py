@@ -2,7 +2,7 @@
 
 These are *component* benchmarks (encode / collate / batched forward /
 cache round-trip) under pytest-benchmark.  The end-to-end perf gates live
-in ``repro bench`` (:mod:`repro.perf.bench`), which run_all.sh invokes
+in ``repro bench`` (:mod:`repro.bench`), which run_all.sh invokes
 with ``--check``; the numbers here are for profiling regressions at a
 finer grain than the gates.
 """

@@ -38,32 +38,16 @@ python -m repro slo --requests 60 --out "$SLO_TRACE" --check
 python -m repro obs "$SLO_TRACE" --requests 5
 rm -f "$SLO_TRACE"
 
-echo "== observability gates: tracing overhead / flight ring / SLO math =="
-python -m repro obs-bench --scale "$SCALE" \
-    --out benchmarks/results/BENCH_obs.json --check
-
 echo "== resilience smoke: chaos sweep must finish with zero lost jobs =="
 python -m repro chaos --gpus 2 --jobs 6 --fault-rates 0.0 0.25 \
     --gpu-mtbf 200 --checkpoint-interval 10 --fail-on-lost
 
 echo "== fleet chaos smoke: worker kill+hang with zero dropped tickets =="
-python -m repro fleet-bench --suite chaos --check
+python -m repro bench --suite fleet.chaos --check
 
-echo "== perf gates: batched training / parallel+cached generation =="
+echo "== benchmark gates: every perf / serve / obs / fleet / trace suite, once =="
 python -m repro bench --scale "$SCALE" \
     --out benchmarks/results/BENCH_perf.json --check
-
-echo "== trace gates: compiled replay speedup / equivalence / fallback =="
-python -m repro trace-bench --scale "$SCALE" \
-    --out benchmarks/results/BENCH_trace.json --check
-
-echo "== serving gates: micro-batch throughput / warm cache / overload =="
-python -m repro serve-bench --scale "$SCALE" \
-    --out benchmarks/results/BENCH_serve.json --check
-
-echo "== fleet gates: hash-aware scaling / worker chaos / shared tier =="
-python -m repro fleet-bench --scale "$SCALE" \
-    --out benchmarks/results/BENCH_fleet.json --check
 
 echo "== reproduce every table and figure (scale=$SCALE) =="
 REPRO_BENCH_SCALE="$SCALE" python -m pytest benchmarks/ --benchmark-only \

@@ -1,6 +1,4 @@
-"""Fleet benchmark suite behind ``repro fleet-bench`` and the bench gates.
-
-Three suites, emitted as ``BENCH_fleet.json``:
+"""Fleet suites: the supervised multi-worker ``FleetService``.
 
 * **scaling** — the same distinct-graph workload through fleets of
   1/2/4 thread-mode workers.  Two numbers per width: the **measured**
@@ -10,9 +8,8 @@ Three suites, emitted as ``BENCH_fleet.json``:
   is in the model, not assumed away).  On a multi-core host the two
   agree; on a single-core CI box thread-mode workers timeshare one CPU
   and the measured wall cannot scale, which is why the headline
-  scaling gate is on the modeled makespan — ``meta.cpu_count`` is
-  recorded next to both so nobody mistakes one for the other (see
-  docs/fleet.md).
+  scaling gate is on the modeled makespan — ``cpu_count`` is recorded
+  next to both so nobody mistakes one for the other (see docs/fleet.md).
 * **chaos** — the workload through a 4-worker fleet under
   :class:`~repro.resilience.FaultInjector` worker-kill **and**
   worker-hang chaos.  Every ticket must resolve to a finite occupancy
@@ -23,11 +20,6 @@ Three suites, emitted as ``BENCH_fleet.json``:
   content-addressed disk tier: the second fleet's workers start with
   cold LRUs but must serve the repeat workload entirely from the
   shared tier, paying zero forwards.
-
-Gates (merged into ``repro bench --check``): modeled 4-worker speedup
->= 2.5x, chaos completes with zero dropped requests, the post-chaos
-fleet recovers to full strength, and the shared tier fully absorbs the
-second fleet's workload.
 """
 
 from __future__ import annotations
@@ -38,62 +30,36 @@ import threading
 import time
 
 from ..features import encode_graph
+from ..fleet import FleetService
+from ..fleet.hashring import HashRing
 from ..gpu import get_device
-from ..models import ModelConfig, build_model
-from ..perf.bench import BENCH_VERSION
 from ..perf.cache import graph_key
 from ..resilience import FaultConfig
-from .hashring import HashRing
-from .service import FleetService
-from .worker import default_model_factory
+from .timing import best_of
+from .workloads import distinct_graphs, service_model
 
-__all__ = ["run_fleet_benchmarks", "evaluate_fleet_gates",
-           "format_fleet_summary", "FLEET_SUITES"]
+__all__ = ["bench_scaling", "scaling_line", "bench_chaos", "chaos_line",
+           "bench_shared", "shared_line"]
 
-FLEET_SUITES = ("scaling", "chaos", "shared")
-
-#: small-graph zoo slice: fleet routing/failover overhead is per
-#: request, which small graphs keep visible (large graphs are
-#: forward-bound on every width and speedups trivially converge)
-_FLEET_MODELS = ("lenet", "alexnet", "rnn", "lstm")
-_BATCH_SIZES = (1, 2, 4, 8, 16, 32)
 _WIDTHS = (1, 2, 4)
 
 
-def _workload(count: int) -> list:
-    """``count`` structurally distinct graphs (model x batch-size grid)."""
-    graphs = []
-    for bs in _BATCH_SIZES:
-        for name in _FLEET_MODELS:
-            graphs.append(build_model(name, ModelConfig(batch_size=bs)))
-            if len(graphs) == count:
-                return graphs
-    raise ValueError(f"grid exhausted below {count} graphs")
-
-
-def bench_scaling(scale: float = 1.0) -> dict:
+def bench_scaling(scale: float) -> dict:
     """Measured wall + hash-aware modeled makespan at widths 1/2/4."""
     device = get_device("A100")
     # Floored at 24 graphs regardless of scale: with fewer keys the
     # hash-skew in the makespan model is dominated by quantization
     # noise and the 2.5x gate would be judging luck, not routing.
-    graphs = _workload(min(32, max(24, int(round(24 * scale)))))
+    graphs = distinct_graphs(min(32, max(24, int(round(24 * scale)))))
     keys = [graph_key(g, device) for g in graphs]
 
     # Per-request service time of the worker's forward path (encode +
     # predict on a warm model) — the quantity each worker's busy-sum is
     # made of.  Best-of-2 to shave scheduler noise.
-    model = default_model_factory()
+    model = service_model()
     model.predict(encode_graph(graphs[0], device))  # warm lazy paths
-    service_s = []
-    for g in graphs:
-        best = None
-        for _ in range(2):
-            t0 = time.perf_counter()
-            model.predict(encode_graph(g, device))
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        service_s.append(best)
+    service_s = [best_of(lambda: model.predict(encode_graph(g, device)), 2)
+                 for g in graphs]
     total_service_s = sum(service_s)
 
     measured = {}
@@ -144,9 +110,16 @@ def bench_scaling(scale: float = 1.0) -> dict:
     }
 
 
-def bench_chaos(scale: float = 1.0) -> dict:
+def scaling_line(s: dict) -> str:
+    modeled = " ".join(
+        f"w{w}={m['speedup']:.2f}x" for w, m in s["modeled"].items())
+    return (f"modeled {modeled} over {s['graphs']} graphs (measured w4 "
+            f"{s['measured_speedup_at_4']:.2f}x on {s['cpu_count']} cpu)")
+
+
+def bench_chaos(scale: float) -> dict:
     """Worker-kill + worker-hang chaos: zero drops, full recovery."""
-    graphs = _workload(8)
+    graphs = distinct_graphs(8)
     passes = max(4, int(round(6 * scale)))
     num_workers = 4
     svc = FleetService(
@@ -194,9 +167,16 @@ def bench_chaos(scale: float = 1.0) -> dict:
     }
 
 
-def bench_shared(scale: float = 1.0) -> dict:
+def chaos_line(c: dict) -> str:
+    return (f"{c['resolved']}/{c['requests']} resolved ({c['dropped']} "
+            f"dropped), {c['deaths']} deaths / {c['restarts']} restarts / "
+            f"{c['retries']} retries, fallbacks {c['fallbacks']}, ring "
+            f"{len(c['ring_members'])}/{c['num_workers']}")
+
+
+def bench_shared(scale: float) -> dict:
     """Second fleet over the same disk tier must pay zero forwards."""
-    graphs = _workload(min(16, max(6, int(round(12 * scale)))))
+    graphs = distinct_graphs(min(16, max(6, int(round(12 * scale)))))
     with tempfile.TemporaryDirectory(prefix="repro-fleet-bench-") as root:
         first = FleetService(num_workers=2, mode="thread",
                              shared_cache_dir=root)
@@ -222,75 +202,7 @@ def bench_shared(scale: float = 1.0) -> dict:
     }
 
 
-_SUITE_FNS = {"scaling": bench_scaling, "chaos": bench_chaos,
-              "shared": bench_shared}
-
-
-def run_fleet_benchmarks(scale: float = 1.0,
-                         suites: "tuple[str, ...]" = FLEET_SUITES) -> dict:
-    """Run the selected suites; returns the ``BENCH_fleet.json`` document."""
-    unknown = [s for s in suites if s not in _SUITE_FNS]
-    if unknown:
-        raise ValueError(f"unknown fleet suites: {unknown}")
-    results = {
-        "meta": {
-            "bench_version": BENCH_VERSION,
-            "cpu_count": os.cpu_count(),
-            "scale": scale,
-            "suites": list(suites),
-        },
-    }
-    for name in FLEET_SUITES:
-        if name in suites:
-            results[name] = _SUITE_FNS[name](scale)
-    results["gates"] = evaluate_fleet_gates(results)
-    return results
-
-
-def evaluate_fleet_gates(results: dict) -> dict:
-    """Fleet acceptance gates over whichever suites are present."""
-    gates = {}
-    if "scaling" in results:
-        gates["fleet_scaling_2_5x"] = \
-            results["scaling"]["modeled_speedup_at_4"] >= 2.5
-    if "chaos" in results:
-        c = results["chaos"]
-        gates["fleet_chaos_zero_dropped"] = c["dropped"] == 0
-        gates["fleet_chaos_recovers"] = bool(c["recovered"])
-    if "shared" in results:
-        s = results["shared"]
-        gates["fleet_shared_tier_hits"] = (
-            s["bit_identical"] and s["second_forwards"] == 0
-            and s["second_shared_hits"] == s["graphs"])
-    return gates
-
-
-def format_fleet_summary(results: dict) -> str:
-    """Human-readable digest of a fleet benchmark document."""
-    lines = []
-    if "scaling" in results:
-        s = results["scaling"]
-        modeled = " ".join(
-            f"w{w}={m['speedup']:.2f}x" for w, m in s["modeled"].items())
-        lines.append(
-            f"scaling : modeled {modeled} over {s['graphs']} graphs "
-            f"(measured w4 {s['measured_speedup_at_4']:.2f}x on "
-            f"{s['cpu_count']} cpu)")
-    if "chaos" in results:
-        c = results["chaos"]
-        lines.append(
-            f"chaos   : {c['resolved']}/{c['requests']} resolved "
-            f"({c['dropped']} dropped), {c['deaths']} deaths / "
-            f"{c['restarts']} restarts / {c['retries']} retries, "
-            f"fallbacks {c['fallbacks']}, ring "
-            f"{len(c['ring_members'])}/{c['num_workers']}")
-    if "shared" in results:
-        s = results["shared"]
-        lines.append(
-            f"shared  : second fleet {s['second_shared_hits']}/"
-            f"{s['graphs']} from disk tier, {s['second_forwards']} "
-            f"forwards, bit-identical: {s['bit_identical']}")
-    lines.append("gates   : " + "  ".join(
-        f"{k}={'PASS' if v else 'FAIL'}"
-        for k, v in results["gates"].items()))
-    return "\n".join(lines)
+def shared_line(s: dict) -> str:
+    return (f"second fleet {s['second_shared_hits']}/{s['graphs']} from "
+            f"disk tier, {s['second_forwards']} forwards, bit-identical: "
+            f"{s['bit_identical']}")

@@ -1,6 +1,4 @@
-"""Trace-and-replay benchmark suite behind ``repro trace-bench``.
-
-Four suites, emitted as ``BENCH_trace.json``:
+"""Trace-and-replay suites: the compiled executor of the batched forward.
 
 * **speedup** — traced replay vs the eager batched forward on the
   scheduler-loop workload: a drain-sized micro-batch of small graphs
@@ -11,16 +9,13 @@ Four suites, emitted as ``BENCH_trace.json``:
   approaches 1x by construction.
 * **equivalence** — traced vs eager predictions across the **full**
   model zoo under the production bucketing (``batch_size=8``).
-* **serial** — single-graph predictions through a traced-by-default
-  :class:`~repro.serve.ModelSession` vs direct
-  :meth:`~repro.core.DNNOccu.predict`: must be bit-identical (singleton
-  requests never enter the traced path).
+* **serial** — single-graph predictions through a
+  :class:`~repro.serve.ModelSession` (traced unless ``REPRO_NO_TRACE``)
+  vs direct :meth:`~repro.core.DNNOccu.predict`: must be bit-identical
+  (a lone graph runs the eager batch of one on both sides).
 * **fallback** — signature-miss behavior: replay-only mode raises
   :class:`~repro.tensor.trace.TraceMissError` on an unseen batch shape
   and the eager route serves the request.
-
-Gates (merged into ``repro bench --check``): speedup >= 2x, zoo
-equivalence <= 1e-6, serial bit-identity, and fallback-on-miss.
 """
 
 from __future__ import annotations
@@ -28,29 +23,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..features import encode_graph
-from ..gpu import SIMULATOR_VERSION, get_device
+from ..gpu import get_device
 from ..models import ModelConfig, build_model, list_models
+from ..perf.batching import collate, ensure_spd
+from ..serve import ModelSession
 from ..tensor import TraceMissError, TracedExecutor, no_grad
 from ..tensor.trace import batch_signature
-from .batching import collate, ensure_spd
-from .bench import _best_of
+from .timing import paired_medians
+from .workloads import service_model
 
-__all__ = ["run_trace_benchmarks", "evaluate_trace_gates",
-           "format_trace_summary"]
+__all__ = ["bench_speedup", "speedup_line", "bench_equivalence",
+           "equivalence_line", "bench_serial", "serial_line", "bench_fallback",
+           "fallback_line"]
 
 #: the scheduler-loop workload: one drain-sized micro-batch of small
 #: graphs (fleet workers coalesce up to ``WorkerSpec.max_batch`` queued
 #: requests into one forward; rnn/lstm are the zoo's smallest graphs)
 _TRACE_MODELS = ("rnn", "lstm")
 _TRACE_BATCH_SIZES = (1, 2, 4)
-
-_DEFAULT_HIDDEN = 32
-
-
-def _trace_model(seed: int = 7):
-    from ..core import DNNOccu, DNNOccuConfig
-    return DNNOccu(DNNOccuConfig(hidden=_DEFAULT_HIDDEN, num_heads=4),
-                   seed=seed)
 
 
 def _encoded(names, batch_sizes, device) -> list:
@@ -62,13 +52,13 @@ def _encoded(names, batch_sizes, device) -> list:
     return feats
 
 
-def bench_trace_speedup(scale: float = 1.0) -> dict:
+def bench_speedup(scale: float) -> dict:
     """Traced vs eager batched forward on the micro-batch workload."""
     device = get_device("A100")
-    model = _trace_model()
+    model = service_model()
     feats = _encoded(_TRACE_MODELS, _TRACE_BATCH_SIZES, device)
     batch = collate(feats)
-    repeats = max(3, int(round(5 * scale)))
+    pairs = max(11, int(round(11 * scale)))
     inner = max(10, int(round(20 * scale)))
 
     executor = TracedExecutor(model)
@@ -87,8 +77,8 @@ def bench_trace_speedup(scale: float = 1.0) -> dict:
         # process pay allocator growth and BLAS warmup, not replay cost.
         eager()
         traced()
-        eager_s = _best_of(eager, repeats) / inner
-        traced_s = _best_of(traced, repeats) / inner
+        eager_s, traced_s = (t / inner
+                             for t in paired_medians(eager, traced, pairs))
         diff = float(np.abs(
             executor.run(batch)
             - np.asarray(model.forward_batch(batch).data)).max())
@@ -97,8 +87,8 @@ def bench_trace_speedup(scale: float = 1.0) -> dict:
     return {
         "models": list(_TRACE_MODELS),
         "batch_sizes": list(_TRACE_BATCH_SIZES),
-        "num_graphs": batch.num_graphs, "hidden": _DEFAULT_HIDDEN,
-        "repeats": repeats, "inner": inner,
+        "num_graphs": batch.num_graphs,
+        "pairs": pairs, "inner": inner,
         "eager_s": eager_s, "traced_s": traced_s,
         "speedup": eager_s / traced_s,
         "max_diff": diff,
@@ -108,10 +98,18 @@ def bench_trace_speedup(scale: float = 1.0) -> dict:
     }
 
 
-def bench_trace_equivalence(scale: float = 1.0) -> dict:
+def speedup_line(s: dict) -> str:
+    return (f"traced {s['traced_s'] * 1e3:.2f}ms vs eager "
+            f"{s['eager_s'] * 1e3:.2f}ms ({s['speedup']:.2f}x) on "
+            f"{s['num_graphs']} graphs; tape {s['tape_ops']} ops -> "
+            f"{s['replay_steps']} steps, arena "
+            f"{s['arena_bytes'] / 1024:.0f} KiB, diff {s['max_diff']:.1e}")
+
+
+def bench_equivalence(scale: float) -> dict:
     """Traced vs eager across the full zoo, production bucketing."""
     device = get_device("A100")
-    model = _trace_model()
+    model = service_model()
     names = list_models()
     feats = _encoded(names, (4,), device)
     eager = model.predict_batch(feats, batch_size=8)
@@ -122,12 +120,14 @@ def bench_trace_equivalence(scale: float = 1.0) -> dict:
     }
 
 
-def bench_trace_serial(scale: float = 1.0) -> dict:
-    """Singleton requests through a traced session stay bit-identical."""
+def equivalence_line(e: dict) -> str:
+    return f"zoo max diff {e['max_diff']:.2e} over {len(e['models'])} models"
+
+
+def bench_serial(scale: float) -> dict:
+    """Singleton requests through a session stay bit-identical."""
     device = get_device("A100")
-    model = _trace_model()
-    # Imported lazily: perf must not depend on serve at import time.
-    from ..serve.service import ModelSession
+    model = service_model()
     session = ModelSession(model, device)
     feats = _encoded(_TRACE_MODELS + ("lenet", "alexnet"), (1, 8), device)
     direct = [model.predict(f) for f in feats]
@@ -139,10 +139,15 @@ def bench_trace_serial(scale: float = 1.0) -> dict:
     }
 
 
-def bench_trace_fallback(scale: float = 1.0) -> dict:
+def serial_line(s: dict) -> str:
+    return (f"{s['graphs']} singletons, session traced="
+            f"{s['session_traced']}, bit-identical: {s['bit_identical']}")
+
+
+def bench_fallback(scale: float) -> dict:
     """Signature miss: replay-only mode refuses, eager serves."""
     device = get_device("A100")
-    model = _trace_model()
+    model = service_model()
     executor = model.traced_executor()
     seen = collate(_encoded(("rnn",), (1, 2), device))
     # A different graph *count* and pad width: rnn/lstm share a node
@@ -167,58 +172,6 @@ def bench_trace_fallback(scale: float = 1.0) -> dict:
     }
 
 
-def run_trace_benchmarks(scale: float = 1.0) -> dict:
-    """Run the trace suites; returns the ``BENCH_trace.json`` document."""
-    from .bench import BENCH_VERSION
-    import os
-    results = {
-        "meta": {
-            "bench_version": BENCH_VERSION,
-            "simulator_version": SIMULATOR_VERSION,
-            "cpu_count": os.cpu_count(),
-            "scale": scale,
-        },
-        "speedup": bench_trace_speedup(scale),
-        "equivalence": bench_trace_equivalence(scale),
-        "serial": bench_trace_serial(scale),
-        "fallback": bench_trace_fallback(scale),
-    }
-    results["gates"] = evaluate_trace_gates(results)
-    return results
-
-
-def evaluate_trace_gates(results: dict) -> dict:
-    """The trace acceptance gates over a benchmark document."""
-    return {
-        "trace_speedup_2x": results["speedup"]["speedup"] >= 2.0,
-        "trace_equivalence_1e6":
-            results["speedup"]["max_diff"] <= 1e-6
-            and results["equivalence"]["max_diff"] <= 1e-6,
-        "trace_serial_bit_identical":
-            bool(results["serial"]["bit_identical"]),
-        "trace_fallback_on_miss":
-            bool(results["fallback"]["miss_raised"])
-            and results["fallback"]["fallback_max_diff"] <= 1e-6,
-    }
-
-
-def format_trace_summary(results: dict) -> str:
-    """Human-readable digest of a trace benchmark document."""
-    s, e = results["speedup"], results["equivalence"]
-    f = results["fallback"]
-    lines = [
-        f"speedup : traced {s['traced_s'] * 1e3:.2f}ms vs eager "
-        f"{s['eager_s'] * 1e3:.2f}ms ({s['speedup']:.2f}x) on "
-        f"{s['num_graphs']} graphs; tape {s['tape_ops']} ops -> "
-        f"{s['replay_steps']} steps, arena {s['arena_bytes'] / 1024:.0f} "
-        f"KiB",
-        f"equiv   : zoo max diff {e['max_diff']:.2e} over "
-        f"{len(e['models'])} models; serial bit-identical: "
-        f"{results['serial']['bit_identical']}",
-        f"fallback: miss raised={f['miss_raised']}, eager fallback diff "
-        f"{f['fallback_max_diff']:.2e}",
-        "gates   : " + "  ".join(
-            f"{k}={'PASS' if v else 'FAIL'}"
-            for k, v in results["gates"].items()),
-    ]
-    return "\n".join(lines)
+def fallback_line(f: dict) -> str:
+    return (f"miss raised={f['miss_raised']}, eager fallback diff "
+            f"{f['fallback_max_diff']:.2e}")

@@ -1,6 +1,6 @@
 """Command-line interface for the DNN-occu reproduction.
 
-Three subcommands mirror the system's three roles:
+The subcommands:
 
 * ``profile`` — simulate one model configuration on a device and print the
   kernel-level profile summary (the Nsight Compute stand-in);
@@ -12,23 +12,16 @@ Three subcommands mirror the system's three roles:
   injected faults (GPU outages, job crashes, occupancy misprediction)
   across a range of crash probabilities, reporting evictions, retries,
   lost jobs, and goodput.  ``--fail-on-lost`` turns it into a CI gate;
+* ``trace`` — export one profile's kernel timeline as a Chrome trace;
+* ``dataset`` — generate and save a labelled profile dataset;
 * ``lint`` — static diagnostics: graph-IR passes over zoo models or
   serialized graphs, cross-registry coverage checks, and an AST
   self-lint (``--self``).  Exit code 0 = clean, 1 = ERROR diagnostics,
   2 = usage error;
-* ``serve-bench`` — the serving suite: micro-batched throughput,
-  warm-cache hit path, concurrent-client latency (p50/p99), zoo
-  equivalence, and overload shedding.  ``--check`` turns the serve
-  gates into a CI gate (``repro bench --check`` includes them too);
-* ``fleet-bench`` — the multi-worker fleet suite: hash-aware scaling
-  at widths 1/2/4, worker-kill + hang chaos with zero dropped
-  requests, and the shared disk tier.  ``--suite`` narrows to one
-  suite; ``--check`` gates (merged into ``repro bench --check``);
-* ``trace-bench`` — the trace-and-replay compiled executor suite:
-  replayed-tape speedup over the eager batched forward, zoo-wide
-  traced-vs-eager equivalence, serial bit-identity, and
-  fallback-on-miss.  ``--check`` gates (merged into
-  ``repro bench --check``).
+* ``bench`` — every benchmark suite and its pass/fail gates
+  (:mod:`repro.bench`): perf, serve, obs, fleet and trace groups.
+  ``--suite`` narrows the run to groups or single ``group.suite``
+  names; ``--check`` exits 1 if any evaluated gate fails.
 
 Observability: ``profile`` / ``schedule`` / ``trace`` accept
 ``--trace-out PATH`` to record spans + metrics into a Chrome trace-event
@@ -36,9 +29,8 @@ file, and ``repro obs PATH`` summarizes a saved trace (top spans by
 self-time, metric table; ``--requests N`` regroups the last N traced
 requests into span trees and prints the flight-recorder table).
 ``repro slo`` evaluates the serving SLOs over a deterministic workload
-(``--check`` is the CI gate); ``repro obs-bench`` runs the
-observability-overhead gates (``BENCH_obs.json``).  ``--log-level``
-turns on structured logging.
+(``--check`` is the CI gate).  ``--log-level`` turns on structured
+logging.
 
 Examples::
 
@@ -50,6 +42,7 @@ Examples::
     python -m repro obs t.json
     python -m repro lint --zoo --registries
     python -m repro lint --self --format json
+    python -m repro bench --suite fleet.chaos --check
 """
 
 from __future__ import annotations
@@ -59,7 +52,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, obs
+from . import __version__, bench, obs
 from .core import DNNOccu, DNNOccuConfig, TrainConfig, Trainer
 from .data import SEEN_MODELS, generate_dataset
 from .gpu import get_device, profile_graph
@@ -225,54 +218,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="content-addressed profile/encoding cache directory")
     p.add_argument("--out", required=True, help="output .npz path")
 
-    p = sub.add_parser("bench", help="run the perf micro-benchmark gates")
+    p = sub.add_parser("bench", help="run the benchmark suites and gates")
+    p.add_argument("--suite", action="extend", nargs="+", metavar="NAME",
+                   choices=[*bench.GROUPS, *bench.SUITES],
+                   help="run one group (perf, serve, obs, fleet, trace) or "
+                        "one group.suite (e.g. fleet.chaos); repeatable; "
+                        "default: every suite")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the BENCH_perf.json document here")
     p.add_argument("--scale", type=float, default=1.0,
                    help="workload multiplier (CI uses small scales)")
     p.add_argument("--check", action="store_true",
-                   help="exit non-zero if any perf gate fails")
-
-    p = sub.add_parser(
-        "serve-bench", help="run the serving throughput/latency gates")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the BENCH_serve.json document here")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload multiplier (CI uses small scales)")
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero if any serve gate fails")
-
-    p = sub.add_parser(
-        "fleet-bench", help="run the multi-worker fleet scaling/chaos gates")
-    # mirrors repro.fleet.bench.FLEET_SUITES (imported lazily below)
-    p.add_argument("--suite", choices=("all", "scaling", "chaos", "shared"),
-                   default="all",
-                   help="run one suite (chaos is the CI smoke) or all")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the BENCH_fleet.json document here")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload multiplier (CI uses small scales)")
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero if any fleet gate fails")
-
-    p = sub.add_parser(
-        "obs-bench", help="run the observability overhead/SLO gates")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the BENCH_obs.json document here")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload multiplier (CI uses small scales)")
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero if any obs gate fails")
-
-    p = sub.add_parser(
-        "trace-bench",
-        help="run the trace-and-replay compiled-executor gates")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the BENCH_trace.json document here")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload multiplier (CI uses small scales)")
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero if any trace gate fails")
+                   help="exit 1 if any evaluated gate fails")
     return parser
 
 
@@ -316,8 +273,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                                seed=args.seed)).fit(train)
 
     graph = build_model(args.target, _config(args))
-    # Through the serving facade: a single serial request dispatches the
-    # per-graph forward, bit-identical to calling model.predict directly.
+    # Through the serving facade: a lone request runs the eager batch of
+    # one, bit-identical to calling model.predict directly.
     from .serve import PredictorService
     with PredictorService(model, device) as service:
         predicted = service.predict(graph)
@@ -513,78 +470,14 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import format_summary, run_benchmarks, save_results
-    results = run_benchmarks(scale=args.scale)
-    print(format_summary(results))
+    results = bench.run(args.suite or (), scale=args.scale)
+    print(bench.format_summary(results))
     if args.out:
-        save_results(results, args.out)
+        bench.save(results, args.out)
         print(f"wrote {args.out}")
-    if args.check and not all(results["gates"].values()):
-        failed = [k for k, v in results["gates"].items() if not v]
-        print(f"perf gates FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import save_results
-    from .serve.bench import format_serve_summary, run_serve_benchmarks
-    results = run_serve_benchmarks(scale=args.scale)
-    print(format_serve_summary(results))
-    if args.out:
-        save_results(results, args.out)
-        print(f"wrote {args.out}")
-    if args.check and not all(results["gates"].values()):
-        failed = [k for k, v in results["gates"].items() if not v]
-        print(f"serve gates FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_fleet_bench(args: argparse.Namespace) -> int:
-    from .fleet.bench import (FLEET_SUITES, format_fleet_summary,
-                              run_fleet_benchmarks)
-    suites = FLEET_SUITES if args.suite == "all" else (args.suite,)
-    results = run_fleet_benchmarks(scale=args.scale, suites=suites)
-    print(format_fleet_summary(results))
-    if args.out:
-        from .perf.bench import save_results
-        save_results(results, args.out)
-        print(f"wrote {args.out}")
-    if args.check and not all(results["gates"].values()):
-        failed = [k for k, v in results["gates"].items() if not v]
-        print(f"fleet gates FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_obs_bench(args: argparse.Namespace) -> int:
-    from .obs.bench import format_obs_summary, run_obs_benchmarks
-    from .perf.bench import save_results
-    results = run_obs_benchmarks(scale=args.scale)
-    print(format_obs_summary(results))
-    if args.out:
-        save_results(results, args.out)
-        print(f"wrote {args.out}")
-    if args.check and not all(results["gates"].values()):
-        failed = [k for k, v in results["gates"].items() if not v]
-        print(f"obs gates FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_trace_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import save_results
-    from .perf.trace_bench import (format_trace_summary,
-                                   run_trace_benchmarks)
-    results = run_trace_benchmarks(scale=args.scale)
-    print(format_trace_summary(results))
-    if args.out:
-        save_results(results, args.out)
-        print(f"wrote {args.out}")
-    if args.check and not all(results["gates"].values()):
-        failed = [k for k, v in results["gates"].items() if not v]
-        print(f"trace gates FAILED: {', '.join(failed)}", file=sys.stderr)
+    failed = [k for k, v in results["gates"].items() if not v]
+    if args.check and failed:
+        print(f"gates FAILED: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
 
@@ -597,11 +490,7 @@ def main(argv: list[str] | None = None) -> int:
                "schedule": _cmd_schedule, "chaos": _cmd_chaos,
                "trace": _cmd_trace, "obs": _cmd_obs, "slo": _cmd_slo,
                "dataset": _cmd_dataset, "lint": _cmd_lint,
-               "bench": _cmd_bench,
-               "serve-bench": _cmd_serve_bench,
-               "fleet-bench": _cmd_fleet_bench,
-               "obs-bench": _cmd_obs_bench,
-               "trace-bench": _cmd_trace_bench}[args.command]
+               "bench": _cmd_bench}[args.command]
     trace_out = getattr(args, "trace_out", None)
     if not trace_out:
         return handler(args)

@@ -19,7 +19,7 @@ path; it calls the :func:`new_lock` / :func:`new_rlock` /
 ``"Class.attr"`` names the static analyzer uses.  With no watch
 installed the factories return *plain* ``threading`` primitives — the
 sanitizer-off serving path is byte-for-byte the uninstrumented one,
-which is what the <=2% overhead gate in :mod:`repro.obs.bench`
+which is what the <=2% overhead gate in :mod:`repro.bench.obs`
 measures.  Installing a watch (:func:`install_watch`, or exporting
 ``REPRO_LOCKWATCH=1`` before import, as the ``run_all.sh`` sanitizer
 pass does) makes every *subsequently constructed* lock a recording

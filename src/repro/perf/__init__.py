@@ -1,13 +1,12 @@
 """repro.perf: the performance layer.
 
-Three prongs (see docs/performance.md):
+Two prongs (see docs/performance.md; their gates live in
+:mod:`repro.bench`):
 
 * :mod:`repro.perf.batching` — masked dense batching so DNN-occu runs one
   vectorized forward/backward per minibatch;
 * :mod:`repro.perf.cache` — content-addressed on-disk cache for profiled
-  and encoded (graph, device) pairs;
-* :mod:`repro.perf.bench` — the micro-benchmark harness behind the
-  ``repro bench`` CLI gate.
+  and encoded (graph, device) pairs.
 """
 
 from .batching import (NEG_INF, GraphBatch, bucket_by_size, clear_spd_memo,

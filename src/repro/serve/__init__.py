@@ -13,9 +13,10 @@ This package provides them (see docs/serving.md):
   overload shedding into the resilience fallback chain;
 * :mod:`repro.serve.quality` — background :class:`QualityMonitor`
   re-labeling sampled predictions against the simulator (rolling MAPE,
-  calibration bins, drift alarms; see docs/observability.md);
-* :mod:`repro.serve.bench` — the serving throughput/latency suite behind
-  the ``repro serve-bench`` CLI and the ``repro bench --check`` gates.
+  calibration bins, drift alarms; see docs/observability.md).
+
+Its throughput/latency gates are ``repro bench --suite serve``
+(:mod:`repro.bench.serve`).
 
 Requests are request-scoped for observability: each carries a
 ``request_id``/``trace_id`` across the batcher's thread handoff, lands

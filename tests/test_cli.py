@@ -133,8 +133,9 @@ class TestObsSloCommands:
         assert args.window == 30.0 and not args.check
 
     def test_obs_bench_parser_defaults(self):
-        args = build_parser().parse_args(["obs-bench", "--scale", "0.5"])
-        assert args.command == "obs-bench"
+        args = build_parser().parse_args(
+            ["bench", "--suite", "obs", "--scale", "0.5"])
+        assert args.command == "bench" and args.suite == ["obs"]
         assert args.scale == 0.5 and args.out is None and not args.check
 
     def test_slo_check_passes_on_healthy_run(self, capsys):

@@ -34,7 +34,6 @@ from repro.perf.cache import PredictionCache, graph_key
 from repro.resilience import (ExponentialBackoff, FaultConfig,
                               FaultInjector)
 from repro.fleet import FleetService, HashRing, Supervisor
-from repro.fleet.bench import evaluate_fleet_gates, run_fleet_benchmarks
 
 A100 = get_device("A100")
 
@@ -359,7 +358,7 @@ class TestSupervisor:
 
 
 # --------------------------------------------------------------------- #
-# process mode and the bench gates
+# process mode
 # --------------------------------------------------------------------- #
 
 class TestProcessMode:
@@ -375,15 +374,3 @@ class TestProcessMode:
         assert st["served"]["forward"] == len(graphs)
         assert st["fallbacks"] == {}
 
-
-class TestBenchGates:
-    def test_chaos_suite_gates_pass(self):
-        results = run_fleet_benchmarks(scale=0.7, suites=("chaos",))
-        assert results["gates"] == {"fleet_chaos_zero_dropped": True,
-                                    "fleet_chaos_recovers": True}
-
-    def test_gate_evaluation_flags_failures(self):
-        doc = {"chaos": {"dropped": 3, "recovered": False}}
-        gates = evaluate_fleet_gates(doc)
-        assert gates == {"fleet_chaos_zero_dropped": False,
-                         "fleet_chaos_recovers": False}

@@ -30,7 +30,7 @@ from repro.gpu import get_device, profile_graph
 from repro.models import ModelConfig, build_model, list_models
 from repro.perf import GraphBatch, ProfileCache, cache_key, collate, \
     ensure_spd
-from repro.perf.bench import _fingerprint
+from repro.bench.perf import _fingerprint
 from repro.tensor import Tensor
 
 A100 = get_device("A100")
