@@ -45,6 +45,14 @@ python -m repro chaos --gpus 2 --jobs 6 --fault-rates 0.0 0.25 \
 echo "== fleet chaos smoke: worker kill+hang with zero dropped tickets =="
 python -m repro bench --suite fleet.chaos --check
 
+echo "== flush-window smoke: 5 s benchmark run with per-layer probe, every answer correct =="
+FLUSH_LAST="$(python3 perfbench/run.py --workload flush-window --seed 1 \
+    --seconds 5 --trace 1 | tail -n 1)"
+case "$FLUSH_LAST" in
+    *'"correct": true'*) ;;
+    *) echo "flush-window smoke failed: ${FLUSH_LAST:0:200}" >&2; exit 1 ;;
+esac
+
 echo "== benchmark gates: every perf / serve / obs / fleet / trace suite, once =="
 python -m repro bench --scale "$SCALE" \
     --out benchmarks/results/BENCH_perf.json --check

@@ -10,9 +10,9 @@
 * **equivalence** — traced vs eager predictions across the **full**
   model zoo under the production bucketing (``batch_size=8``).
 * **serial** — single-graph predictions through a
-  :class:`~repro.serve.ModelSession` (traced unless ``REPRO_NO_TRACE``)
-  vs direct :meth:`~repro.core.DNNOccu.predict`: must be bit-identical
-  (a lone graph runs the eager batch of one on both sides).
+  :class:`~repro.serve.ModelSession` vs direct
+  :meth:`~repro.core.DNNOccu.predict`: must be bit-identical (a lone
+  graph runs the eager batch of one on both sides).
 * **fallback** — signature-miss behavior: replay-only mode raises
   :class:`~repro.tensor.trace.TraceMissError` on an unseen batch shape
   and the eager route serves the request.
@@ -134,14 +134,12 @@ def bench_serial(scale: float) -> dict:
     served = [session.predict_features([f])[0] for f in feats]
     return {
         "graphs": len(feats),
-        "session_traced": bool(session.traced),
         "bit_identical": served == direct,
     }
 
 
 def serial_line(s: dict) -> str:
-    return (f"{s['graphs']} singletons, session traced="
-            f"{s['session_traced']}, bit-identical: {s['bit_identical']}")
+    return f"{s['graphs']} singletons, bit-identical: {s['bit_identical']}"
 
 
 def bench_fallback(scale: float) -> dict:
@@ -160,8 +158,8 @@ def bench_fallback(scale: float) -> dict:
             executor.run(unseen, allow_trace=False)
         except TraceMissError:
             miss_raised = True
-        # The production route never sees the miss: predict_batch
-        # compiles on first sight and falls back to eager on error.
+        # predict_batch(traced=True) never sees the miss: it compiles
+        # on first sight and falls back to eager on error.
         eager = np.asarray(model.forward_batch(unseen).data)
     traced = model.predict_batch(
         _encoded(("lenet", "alexnet"), (1, 2, 4), device), traced=True)

@@ -54,10 +54,6 @@ class DNNOccuConfig:
 class DNNOccu(Module):
     """GNN-based GPU occupancy predictor for computation graphs."""
 
-    #: duck-typing flag for serving layers: batched inference may route
-    #: through the trace-and-replay executor (docs/compile.md)
-    supports_traced_batches = True
-
     def __init__(self, config: DNNOccuConfig | None = None,
                  seed: int = 0, node_dim: int | None = None,
                  edge_dim: int | None = None):
@@ -160,25 +156,23 @@ class DNNOccu(Module):
         chunk pads to a near-uniform size instead of the global maximum.
 
         With ``traced=True`` each collated chunk replays a compiled op
-        tape instead of building a ``Tensor`` graph (docs/compile.md),
-        falling back to the eager forward on any trace or replay error
-        and honoring the ``REPRO_NO_TRACE`` escape hatch.
+        tape instead of building a ``Tensor`` graph, falling back to the
+        eager forward on any trace or replay error.  A plan is compiled
+        per exact batch shape, so this pays only for callers that replay
+        one shape many times; serving stays eager (docs/compile.md).
         """
         # Imported lazily: core must not depend on perf at import time.
         from ..perf.batching import bucket_by_size, collate
         from ..tensor import no_grad
-        from ..tensor.trace import tracing_disabled
         feats = list(features_list)
         if not feats:
             return np.zeros(0)
-        use_trace = traced and not tracing_disabled()
         with no_grad():
             if batch_size is None:
-                return self._forward_collated(collate(feats), use_trace)
+                return self._forward_collated(collate(feats), traced)
             out = np.zeros(len(feats))
             for idx, chunk in bucket_by_size(feats, batch_size):
-                out[idx] = self._forward_collated(collate(chunk),
-                                                  use_trace)
+                out[idx] = self._forward_collated(collate(chunk), traced)
             return out
 
     def _forward_collated(self, batch, use_trace: bool) -> np.ndarray:

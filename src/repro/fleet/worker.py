@@ -160,11 +160,10 @@ class WorkerCore:
 
         Runs :meth:`~repro.serve.ModelSession.resolve` with the shared
         tier: cache tiers resolve per request and the residual misses
-        run as one forward per size bucket — a single miss keeps the
-        eager batch of one (bit-identical to
-        :meth:`~repro.core.DNNOccu.predict`), two or more replay the
-        compiled batched tape (docs/compile.md).  Returns one
-        ``(prediction, tier)`` pair per request, in request order.
+        run as one eager forward per size bucket — a single miss is
+        the batch of one :meth:`~repro.core.DNNOccu.predict` runs, so
+        bit-identical to it.  Returns one ``(prediction, tier)`` pair
+        per request, in request order.
         """
         return self.session.resolve(
             [(graph, get_device(name) if name else None)

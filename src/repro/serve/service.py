@@ -22,12 +22,11 @@ through the same :meth:`ModelSession.publish`, which never caches a
 non-finite answer.
 
 Numerical contract: :meth:`repro.core.DNNOccu.forward_batch` is the only
-numeric body, and a direct ``model.predict`` is a batch of one.  A
-single-request flush runs that same eager batch of one, so serial
-callers (the scheduler's per-job queries) reproduce direct results
-bit for bit.  A member of a multi-request flush (eager or traced replay)
-gets its answer alone within 1e-6 (in practice ~1e-15; see
-docs/performance.md).
+numeric body, and a direct ``model.predict`` is a batch of one.  Every
+flush runs that eager forward, never traced replay (docs/compile.md), so
+serial callers (the scheduler's per-job queries) reproduce direct
+results bit for bit, and a member of a multi-request flush gets its
+answer alone within 1e-6 (in practice ~1e-15; see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -133,9 +132,6 @@ class ModelSession:
         self.device = device
         self.results = _LRU(cache_size)      # graph_key -> float
         self.encodings = _LRU(cache_size)    # graph_key -> GraphFeatures
-        # Traced replay applies only to multi-graph batches, and only to
-        # models that opt in.  See docs/compile.md.
-        self.traced = getattr(model, "supports_traced_batches", False)
 
     def key_for(self, graph, device: DeviceSpec | None = None) -> str:
         return graph_key(graph, device or self.device)
@@ -196,16 +192,11 @@ class ModelSession:
     def predict_features(self, feats_list) -> list[float]:
         """Forward 1..B encoded graphs on the calling thread.
 
-        Multi-graph lists replay a compiled tape when the model supports
-        it (the ``REPRO_NO_TRACE`` environment knob restores eager).  A
-        single graph runs eager: a traced plan per singleton shape would
-        compile on nearly every lone request.
+        Always the eager batched forward: a traced plan is keyed by the
+        exact batch shape, and flushes rarely repeat one often enough to
+        repay its compile (docs/compile.md, "When replay pays").
         """
-        if self.traced and len(feats_list) > 1:
-            values = self.model.predict_batch(feats_list, traced=True)
-        else:
-            values = self.model.predict_batch(feats_list)
-        return [float(v) for v in values]
+        return [float(v) for v in self.model.predict_batch(feats_list)]
 
     def resolve(self, requests, shared=None, *,
                 batch_size: int) -> "list[tuple[float, str]]":
@@ -244,9 +235,7 @@ class PredictorService:
     ----------
     model:
         Anything with ``predict_batch(list)`` (normally a
-        :class:`repro.core.DNNOccu`; models that set
-        ``supports_traced_batches`` also take ``traced=True``).  Ignored
-        when ``session`` is given.
+        :class:`repro.core.DNNOccu`).  Ignored when ``session`` is given.
     device:
         Default :class:`~repro.gpu.DeviceSpec` for requests.
     session:

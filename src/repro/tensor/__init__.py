@@ -6,7 +6,7 @@ from .optim import SGD, Adam, clip_grad_norm
 from . import init
 from .trace import (DEFAULT_CACHE_SIZE, GradModeError, TraceCache,
                     TraceError, TraceMissError, TracedExecutor,
-                    batch_signature, tracing_disabled)
+                    batch_signature)
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "as_tensor",
@@ -15,5 +15,5 @@ __all__ = [
     "init",
     "TraceError", "TraceMissError", "GradModeError",
     "TraceCache", "TracedExecutor", "batch_signature",
-    "tracing_disabled", "DEFAULT_CACHE_SIZE",
+    "DEFAULT_CACHE_SIZE",
 ]

@@ -1,10 +1,11 @@
 """Trace-and-replay compiled executor for the batched GNN forward.
 
-The serving and fleet layers funnel into one hot path —
-``DNNOccu.forward_batch`` — which pays Python :class:`Tensor` dispatch,
-fresh ndarray allocation, and autograd bookkeeping for every op on every
-call, even under ``no_grad``.  This module removes all three for the
-inference path:
+Batched inference funnels into one hot path — ``DNNOccu.forward_batch``
+— which pays Python :class:`Tensor` dispatch, fresh ndarray allocation,
+and autograd bookkeeping for every op on every call, even under
+``no_grad``.  This module removes all three for callers that replay one
+batch shape many times (``predict_batch(traced=True)``; serving stays
+eager, since its flushes rarely repeat a shape — docs/compile.md):
 
 1. **Tracer** (:func:`trace_forward`): runs the eager forward once under
    ``no_grad`` with the ``Tensor`` ops interposed, and emits a linear
@@ -36,16 +37,14 @@ plan is admitted.
 Grad mode is a hard error, not a silent hazard: tracing and replay both
 raise :class:`GradModeError` when ``is_grad_enabled()`` — training keeps
 the eager tape, and a traced forward under grad would silently detach
-it.  ``REPRO_NO_TRACE=1`` disables tracing process-wide (see
-:func:`tracing_disabled`); any :class:`TraceError` during compile or
-replay makes callers fall back to the eager batched forward.
+it.  Any :class:`TraceError` during compile or replay makes callers fall
+back to the eager batched forward.
 
 See docs/compile.md for the tape format and the equivalence argument.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -60,7 +59,7 @@ __all__ = [
     "TraceError", "TraceMissError", "GradModeError",
     "TapeOp", "OpTape", "CompiledPlan", "TraceCache", "TracedExecutor",
     "batch_signature", "trace_forward", "fuse_tape", "compile_tape",
-    "tracing_disabled", "DEFAULT_CACHE_SIZE",
+    "DEFAULT_CACHE_SIZE",
 ]
 
 #: default maximum number of shape signatures a TraceCache retains
@@ -82,11 +81,6 @@ class GradModeError(RuntimeError):
     mask a real bug (a training step routed through the inference-only
     executor), so this propagates to the caller instead.
     """
-
-
-def tracing_disabled() -> bool:
-    """True when the ``REPRO_NO_TRACE`` escape hatch is set."""
-    return os.environ.get("REPRO_NO_TRACE", "") not in ("", "0")
 
 
 # --------------------------------------------------------------------- #

@@ -8,9 +8,9 @@ Covers the satellite checklist of the compiled-executor tentpole:
 * the grad-mode hazard: tracing/replay under grad is a hard error;
 * fused-vs-unfused tape equality and fusion actually shrinking tapes;
 * arena buffer reuse without aliasing between live slots;
-* adoption: ``ModelSession`` / ``WorkerCore`` default to traced batches
-  while serial single-graph predictions stay bit-identical, and the
-  ``REPRO_NO_TRACE`` escape hatch restores the eager path.
+* adoption: ``predict_batch(traced=True)`` is the one opt-in switch;
+  ``PredictorService`` flushes, ``predict_many`` and ``WorkerCore``
+  serve the eager batched forward and never compile a plan.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.tensor import Tensor, no_grad
 from repro.tensor.trace import (DEFAULT_CACHE_SIZE, GradModeError,
                                 TraceCache, TraceMissError, TracedExecutor,
                                 batch_signature, compile_tape, fuse_tape,
-                                trace_forward, tracing_disabled)
+                                trace_forward)
 
 
 def _model(hidden: int = 32, seed: int = 7) -> DNNOccu:
@@ -226,13 +226,11 @@ class TestAdoption:
     def test_session_serial_requests_bit_identical(self, model):
         from repro.serve.service import ModelSession
         session = ModelSession(model, A100)
-        assert session.traced
         feats = encode_graph(build_model("rnn", ModelConfig()), A100)
         ensure_spd(feats)
         assert session.predict_features([feats]) == [model.predict(feats)]
 
-    def test_session_batches_match_eager_within_1e6(self, model,
-                                                    monkeypatch):
+    def test_session_batches_match_eager_within_1e6(self, model):
         from repro.serve.service import ModelSession
         feats = [encode_graph(
             build_model(n, ModelConfig(batch_size=bs)), A100)
@@ -240,23 +238,10 @@ class TestAdoption:
         for f in feats:
             ensure_spd(f)
         session = ModelSession(model, A100)
-        traced = session.predict_features(feats)
-        monkeypatch.setenv("REPRO_NO_TRACE", "1")
-        eager = session.predict_features(feats)
-        assert np.abs(np.array(traced) - np.array(eager)).max() <= 1e-6
-
-    def test_no_trace_env_restores_eager(self, model, monkeypatch):
-        feats = [encode_graph(
-            build_model(n, ModelConfig()), A100) for n in ("rnn", "lstm")]
-        for f in feats:
-            ensure_spd(f)
         eager = model.predict_batch(feats)
-        monkeypatch.setenv("REPRO_NO_TRACE", "1")
-        assert tracing_disabled()
-        hatch = model.predict_batch(feats, traced=True)
-        assert np.array_equal(eager, hatch)
-        monkeypatch.setenv("REPRO_NO_TRACE", "0")
-        assert not tracing_disabled()
+        assert session.predict_features(feats) == [float(v) for v in eager]
+        traced = model.predict_batch(feats, traced=True)
+        assert np.abs(traced - eager).max() <= 1e-6
 
     def test_worker_core_batches_and_caches(self):
         from repro.fleet.worker import WorkerCore, WorkerSpec
@@ -291,3 +276,58 @@ class TestAdoption:
             assert registry.gauge("trace_arena_bytes").snapshot() > 0
         finally:
             uninstall_registry()
+
+
+class TestServingNeverCompiles:
+    """Serve and fleet forwards run eager: no path compiles a plan.
+
+    Each answer is bit-equal to ``model.predict_batch`` on the same list
+    and within 1e-6 of its graph's answer alone.  rnn/lstm share a node
+    count, so the size bucketing keeps these four in one input-order
+    chunk and ``predict_batch(feats)`` is exactly the forward served.
+    """
+
+    GRAPHS = [build_model(n, ModelConfig(batch_size=bs))
+              for n in ("rnn", "lstm") for bs in (1, 2)]
+
+    @pytest.fixture
+    def registry(self):
+        from repro.obs.metrics import install_registry, uninstall_registry
+        registry = install_registry()
+        yield registry
+        uninstall_registry()
+
+    def _check(self, registry, model, values):
+        feats = [encode_graph(g, A100) for g in self.GRAPHS]
+        for f in feats:
+            ensure_spd(f)
+        assert registry.counter("trace_cache_misses_total").snapshot() == 0
+        assert list(values) == [float(v) for v in model.predict_batch(feats)]
+        alone = [model.predict(f) for f in feats]
+        assert np.abs(np.array(values) - np.array(alone)).max() <= 1e-6
+
+    def test_predict_async_flush(self, registry):
+        from repro.serve import PredictorService
+        model = _model()
+        with PredictorService(model, A100, max_batch_size=len(self.GRAPHS),
+                              deadline_s=60.0) as svc:
+            svc.batcher.pause()
+            tickets = [svc.predict_async(g) for g in self.GRAPHS]
+            svc.batcher.resume()
+            values = [t.result(timeout=30.0) for t in tickets]
+            assert svc.batcher.stats()["batches_dispatched"] == 1
+        self._check(registry, model, values)
+
+    def test_predict_many(self, registry):
+        from repro.serve import PredictorService
+        model = _model()
+        with PredictorService(model, A100) as svc:
+            values = svc.predict_many(self.GRAPHS)
+        self._check(registry, model, [float(v) for v in values])
+
+    def test_worker_core_handle_many(self, registry):
+        from repro.fleet.worker import WorkerCore, WorkerSpec
+        core = WorkerCore(WorkerSpec(worker_id=0))
+        outs = core.handle_many([(g, None) for g in self.GRAPHS])
+        assert [tier for _, tier in outs] == ["forward"] * len(self.GRAPHS)
+        self._check(registry, core.session.model, [v for v, _ in outs])
