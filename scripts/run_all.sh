@@ -52,6 +52,16 @@ case "$FLUSH_LAST" in
     *'"correct": true'*) ;;
     *) echo "flush-window smoke failed: ${FLUSH_LAST:0:200}" >&2; exit 1 ;;
 esac
+# Queued flushes forward in bucket_by_size chunks, each at most half
+# padding; a whole flush padded into one collate reads ~0.45 here.
+python3 - <<'PY'
+import json, sys
+layers = json.load(open(".perfbench_out/flush-window-seed1-trace1.json"))["layers"]
+waste = layers.get("perf.batching.pad_waste_frac")
+print(f"flush-window pad_waste_frac: {waste}")
+if waste is None or waste > 0.25:
+    sys.exit("flush-window pad waste above 0.25: is a flush forwarded unbucketed?")
+PY
 
 echo "== benchmark gates: every perf / serve / obs / fleet / trace suite, once =="
 python -m repro bench --scale "$SCALE" \

@@ -461,19 +461,22 @@ class FleetService:
         return InProcessWorker(spec, self._on_result, self._on_death)
 
     # -- degradation ------------------------------------------------------ #
-    def _resolve_fallback(self, entry: _Pending, reason: str) -> None:
+    def _degrade(self, graph, device, key: str,
+                 reason: str) -> "tuple[float, str]":
         """Terminal ladder: shared tier, then the fallback chain."""
-        value = None
-        tier = None
         if self._shared is not None:
-            shared_value = self._shared.get(entry.key)
-            if shared_value is not None:
-                value, tier = float(shared_value), "shared_tier"
-        if value is None:
-            with span("fleet.fallback", reason=reason) as sp:
-                mean, _std = self.fallback(entry.graph, entry.device)
-                sp.set_attr(tier=self.fallback.last_tier)
-            value, tier = float(mean), self.fallback.last_tier
+            value = self._shared.get(key)
+            if value is not None:
+                return value, "shared_tier"
+        with span("fleet.fallback", reason=reason) as sp:
+            mean, _std = self.fallback(graph, device)
+            sp.set_attr(tier=self.fallback.last_tier)
+        return float(mean), self.fallback.last_tier
+
+    def _resolve_fallback(self, entry: _Pending, reason: str) -> None:
+        """Resolve a ticket no worker can serve through :meth:`_degrade`."""
+        value, tier = self._degrade(entry.graph, entry.device, entry.key,
+                                    reason)
         with self._cond:
             self._fallbacks[reason] = self._fallbacks.get(reason, 0) + 1
         counter("fleet_fallbacks_total",
@@ -494,15 +497,8 @@ class FleetService:
                     self._cond.notify_all()
                     break
         dev, _name = self._resolve_device(device)
-        key = graph_key(graph, dev)
-        value = None
-        if self._shared is not None:
-            shared_value = self._shared.get(key)
-            if shared_value is not None:
-                value = float(shared_value)
-        if value is None:
-            mean, _std = self.fallback(graph, dev)
-            value = float(mean)
+        value, _tier = self._degrade(graph, dev, graph_key(graph, dev),
+                                     "deadline")
         if not ticket.set_result(value):
             return ticket.result()
         with self._cond:

@@ -26,6 +26,7 @@ Hits and misses are counted as ``perf_cache_hits_total`` /
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -263,7 +264,8 @@ class PredictionCache:
         return os.path.join(self.root, f"pred_{key}.npz")
 
     def get(self, key: str) -> float | None:
-        """The cached prediction, or ``None`` (corrupt entries miss)."""
+        """The cached prediction, or ``None``: corrupt and non-finite
+        entries miss, so no reader of the tier can serve a NaN."""
         path = self._path(key)
         if not os.path.exists(path):
             return None
@@ -273,7 +275,8 @@ class PredictionCache:
                 raise CheckpointError(
                     f"prediction entry {key[:12]}... has foreign "
                     f"metadata (kind={meta.get('kind')!r})")
-            return float(arrays["value"][0])
+            value = float(arrays["value"][0])
+            return value if math.isfinite(value) else None
         except (CheckpointError, KeyError, IndexError, OSError) as exc:
             _log.warning("corrupt prediction-cache entry; ignoring",
                          extra={"key": key[:12],

@@ -16,10 +16,10 @@ by the :class:`~repro.serve.batcher.MicroBatcher`; a full queue sheds the
 request to a :class:`~repro.resilience.FallbackPredictor` chain instead
 of queueing unbounded latency.
 
-One cache ladder, :meth:`ModelSession.resolve`, serves bulk calls and
-fleet workers; the queued path splits it at the queue but publishes
-through the same :meth:`ModelSession.publish`, which never caches a
-non-finite answer.
+Every miss is forwarded and published by one size-bucketed step,
+:meth:`ModelSession.forward`: :meth:`ModelSession.resolve` (bulk calls,
+fleet workers) puts the cache lookup and encode in front of it, and a
+queued flush calls it after the lookup and encode done at enqueue.
 
 Numerical contract: :meth:`repro.core.DNNOccu.forward_batch` is the only
 numeric body, and a direct ``model.predict`` is a batch of one.  Every
@@ -159,8 +159,7 @@ class ModelSession:
 
         ``tier`` is ``"lru"`` (the result cache) or ``"shared"`` (the
         optional ``shared`` :class:`~repro.perf.PredictionCache`, whose
-        hits are promoted into the LRU).  A non-finite shared entry is
-        a miss.
+        hits are promoted into the LRU).
         """
         value = self.results.get(key)
         if value is not None:
@@ -171,23 +170,10 @@ class ModelSession:
                 "serve requests that needed a forward pass").inc()
         if shared is not None:
             value = shared.get(key)
-            if value is not None and math.isfinite(value):
+            if value is not None:
                 self.results.put(key, value)
-                return float(value), "shared"
+                return value, "shared"
         return None
-
-    def publish(self, keys, values, shared=None) -> None:
-        """Store forward answers in the result LRU (and ``shared``).
-
-        A non-finite answer still goes back to its caller but is never
-        cached, so a poisoned input cannot keep answering from a cache
-        tier (or, through the on-disk tier, outlive a restart).
-        """
-        for key, value in zip(keys, values):
-            if math.isfinite(value):
-                self.results.put(key, value)
-                if shared is not None:
-                    shared.put(key, value)
 
     def predict_features(self, feats_list) -> list[float]:
         """Forward 1..B encoded graphs on the calling thread.
@@ -198,33 +184,47 @@ class ModelSession:
         """
         return [float(v) for v in self.model.predict_batch(feats_list)]
 
+    def forward(self, keys, feats, shared=None, *,
+                batch_size: int) -> list[float]:
+        """Forward encoded misses, publish them under ``keys`` to the
+        result LRU (and ``shared``), and return them in input order.
+
+        One ``serve.forward`` span per :func:`bucket_by_size` chunk of at
+        most ``batch_size`` graphs.
+        """
+        out = [0.0] * len(feats)
+        for idx, chunk in bucket_by_size(feats, batch_size):
+            with span("serve.forward", batch=len(chunk)):
+                values = self.predict_features(chunk)
+            for j, value in zip(idx, values):
+                out[j] = value
+                # A non-finite answer goes back to its caller but is
+                # never cached, so a poisoned input cannot keep answering
+                # from a cache tier (or, on disk, outlive a restart).
+                if math.isfinite(value):
+                    self.results.put(keys[j], value)
+                    if shared is not None:
+                        shared.put(keys[j], value)
+        return out
+
     def resolve(self, requests, shared=None, *,
                 batch_size: int) -> "list[tuple[float, str]]":
         """Answer ``(graph, device)`` requests through the cache ladder.
 
-        Each request tries :meth:`cached`; the misses are encoded,
-        forwarded in size buckets of at most ``batch_size`` graphs and
-        stored by :meth:`publish`.  Returns one
-        ``(value, tier)`` pair per request, in request order, with
-        ``tier`` one of ``"lru"``, ``"shared"`` or ``"forward"``.
+        Each request tries :meth:`cached`; the misses are encoded and
+        go through :meth:`forward`.  Returns one ``(value, tier)`` pair
+        per request, in request order, with ``tier`` one of ``"lru"``,
+        ``"shared"`` or ``"forward"``.
         """
-        out: "list[tuple[float, str] | None]" = [None] * len(requests)
-        miss_pos: list[int] = []
-        miss_keys: list[str] = []
-        miss_feats: list[GraphFeatures] = []
-        for pos, (graph, device) in enumerate(requests):
-            key = self.key_for(graph, device)
-            out[pos] = self.cached(key, shared)
-            if out[pos] is None:
-                miss_pos.append(pos)
-                miss_keys.append(key)
-                miss_feats.append(self.encode(graph, device, key=key))
-        for idx, chunk in bucket_by_size(miss_feats, batch_size):
-            with span("serve.forward", batch=len(chunk)):
-                values = self.predict_features(chunk)
-            self.publish([miss_keys[j] for j in idx], values, shared)
-            for j, value in zip(idx, values):
-                out[miss_pos[j]] = (value, "forward")
+        keys = [self.key_for(graph, device) for graph, device in requests]
+        out = [self.cached(key, shared) for key in keys]
+        miss = [pos for pos, hit in enumerate(out) if hit is None]
+        values = self.forward(
+            [keys[pos] for pos in miss],
+            [self.encode(*requests[pos], key=keys[pos]) for pos in miss],
+            shared, batch_size=batch_size)
+        for pos, value in zip(miss, values):
+            out[pos] = (value, "forward")
         return out
 
 
@@ -438,15 +438,12 @@ class PredictorService:
         _log.warning("%s; shedding to fallback chain", reason, extra={
             "graph": getattr(graph, "name", "") or "<graph>",
             "depth": self.batcher.max_queue_depth})
-        with span("serve.fallback") as sp:
-            mean, _std = self.fallback(graph,
-                                       device or self.session.device)
-            sp.set_attr(tier=self.fallback.last_tier)
+        value = self._fallback_answer(graph, device)
         ticket = Ticket()
-        ticket.set_result(float(mean))
+        ticket.set_result(value)
         elapsed = self._observe_latency(start)
         self._finish(rid, tid, graph, device, elapsed, "shed", "miss",
-                     float(mean), tier=self.fallback.last_tier)
+                     value, tier=self.fallback.last_tier)
         return ticket
 
     def _deadline_shed(self, ticket: Ticket, graph, device) -> float:
@@ -460,11 +457,8 @@ class PredictorService:
         late result is never double-delivered, and no request is ever
         answered twice with different numbers.
         """
-        with span("serve.fallback") as sp:
-            mean, _std = self.fallback(graph,
-                                       device or self.session.device)
-            sp.set_attr(tier=self.fallback.last_tier)
-        if not ticket.set_result(float(mean)):
+        value = self._fallback_answer(graph, device)
+        if not ticket.set_result(value):
             return ticket.result()
         counter("serve_deadline_shed_total",
                 "requests shed to the fallback chain by a caller-side "
@@ -475,19 +469,27 @@ class PredictorService:
                      extra={"graph": getattr(graph, "name", "")
                             or "<graph>",
                             "tier": self.fallback.last_tier})
+        return value
+
+    def _fallback_answer(self, graph, device) -> float:
+        """The fallback chain's answer, inside a ``serve.fallback`` span."""
+        with span("serve.fallback") as sp:
+            mean, _std = self.fallback(graph,
+                                       device or self.session.device)
+            sp.set_attr(tier=self.fallback.last_tier)
         return float(mean)
 
     def _dispatch_batch(self, requests) -> list[float]:
-        """MicroBatcher dispatch: forward, publish, record latency.
+        """MicroBatcher dispatch: :meth:`ModelSession.forward`, then finish.
 
         Each queued item is a :class:`_Request`; runs on the dispatcher
-        thread.  A forward failure records one flight ``error`` entry
-        per request before the exception fails the batch's tickets.
+        thread.  A forward failure in any chunk records one flight
+        ``error`` entry per request before it fails the flush's tickets.
         """
         try:
-            with span("serve.forward", batch=len(requests)):
-                values = self.session.predict_features(
-                    [r.feats for r in requests])
+            values = self.session.forward(
+                [r.key for r in requests], [r.feats for r in requests],
+                batch_size=self.batcher.max_batch_size)
         except Exception as exc:
             now = time.monotonic()
             for req in requests:
@@ -496,7 +498,6 @@ class PredictorService:
                              batch=len(requests),
                              error=type(exc).__name__)
             raise
-        self.session.publish([r.key for r in requests], values)
         for req, value in zip(requests, values):
             elapsed = self._observe_latency(req.start)
             self._finish(req.rid, req.tid, req.graph, req.device,

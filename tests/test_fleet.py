@@ -26,6 +26,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import DNNOccu, DNNOccuConfig
 from repro.features import encode_graph
 from repro.gpu import get_device
@@ -156,6 +157,12 @@ class TestPredictionCache:
         path.write_bytes(b"not a checkpoint")
         assert cache.get("b" * 64) is None
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_non_finite_entry_reads_as_miss(self, tmp_path, bad):
+        cache = PredictionCache(str(tmp_path))
+        cache.put("c" * 64, bad)
+        assert cache.get("c" * 64) is None
+
 
 # --------------------------------------------------------------------- #
 # equivalence and cache tiers
@@ -276,6 +283,18 @@ class TestWorkerHangChaos:
         assert 0.0 <= value <= 1.0
         assert st["fallbacks"].get("deadline", 0) == 1
 
+    def test_deadline_shed_runs_the_fleet_fallback_span(self):
+        g = _small_graphs(1)[0]
+        with obs.observed() as (tracer, _registry):
+            with FleetService(
+                    num_workers=1, mode="thread",
+                    fault_config=FaultConfig(worker_hang_prob=1.0),
+                    fault_seed=7, hang_deadline_s=60.0) as svc:
+                svc.predict(g, timeout=0.2)
+        reasons = [r.attrs.get("reason") for r in tracer.events
+                   if r.name == "fleet.fallback"]
+        assert "deadline" in reasons
+
 
 # --------------------------------------------------------------------- #
 # lifecycle: drain, close, post-close degradation
@@ -299,6 +318,17 @@ class TestLifecycle:
         value = svc.predict(graphs[1])
         assert 0.0 <= value <= 1.0
         assert svc.stats()["fallbacks"].get("closed", 0) >= 1
+
+    def test_degradation_never_serves_nan_from_shared_tier(self, tmp_path):
+        g = _small_graphs(1)[0]
+        PredictionCache(str(tmp_path)).put(graph_key(g, A100),
+                                           float("nan"))
+        svc = FleetService(num_workers=1, mode="thread",
+                           shared_cache_dir=str(tmp_path))
+        svc.close()
+        value = svc.predict(g)
+        assert 0.0 <= value <= 1.0
+        assert svc.stats()["fallbacks"] == {"closed": 1}
 
     def test_context_manager_closes(self):
         with FleetService(num_workers=1, mode="thread") as svc:

@@ -481,6 +481,78 @@ class TestBucketedCollate:
 
 
 # --------------------------------------------------------------------- #
+# one serving forward: queued flushes run ModelSession.forward
+# --------------------------------------------------------------------- #
+
+def _mixed_flush_graphs() -> list:
+    """Interleaved vit-t (347 nodes) and lenet: more than 2x apart."""
+    return [build_model(n, ModelConfig(batch_size=b))
+            for b in (4, 16) for n in ("vit-t", "lenet")]
+
+
+def _paused_flush(svc, graphs) -> list:
+    """Queue ``graphs`` behind a paused batcher; release one full flush."""
+    svc.batcher.pause()
+    tickets = [svc.predict_async(g) for g in graphs]
+    svc.batcher.resume()
+    return tickets
+
+
+class TestOneServingForward:
+    def test_flush_matches_predict_many_one_span_per_chunk(self):
+        graphs = _mixed_flush_graphs()
+        model = _model()
+        feats = [encode_graph(g, A100) for g in graphs]
+        chunks = bucket_by_size(feats, len(graphs))
+        assert len(chunks) == 2
+        with PredictorService(model, A100,
+                              max_batch_size=len(graphs)) as bulk:
+            expected = bulk.predict_many(graphs)
+        with obs.observed() as (tracer, _registry):
+            with PredictorService(model, A100, max_batch_size=len(graphs),
+                                  deadline_s=60.0) as svc:
+                got = [t.result(30.0)
+                       for t in _paused_flush(svc, graphs)]
+        np.testing.assert_array_equal(np.array(got), expected)
+        forwards = [r.attrs["batch"] for r in tracer.events
+                    if r.name == "serve.forward"]
+        assert sorted(forwards) == sorted(len(c) for _, c in chunks)
+        # the flight record still counts the whole flush
+        assert all(r.batch_size == len(graphs)
+                   for r in svc.flight.records())
+
+    def test_second_chunk_failure_fails_each_ticket_once(self):
+        graphs = _mixed_flush_graphs()
+        with obs.observed() as (_tracer, registry):
+            with PredictorService(_model(), A100,
+                                  max_batch_size=len(graphs),
+                                  deadline_s=60.0) as svc:
+                original = svc.session.predict_features
+                calls = []
+
+                def second_chunk_raises(chunk):
+                    calls.append(len(chunk))
+                    if len(calls) == 2:
+                        raise RuntimeError("chunk 2 failed")
+                    return original(chunk)
+
+                svc.session.predict_features = second_chunk_raises
+                tickets = _paused_flush(svc, graphs)
+                for t in tickets:
+                    with pytest.raises(RuntimeError, match="chunk 2"):
+                        t.result(30.0)
+        assert len(calls) == 2
+        assert not any(t.set_result(0.5) for t in tickets)
+        assert _counter_values(registry)["serve_dispatch_errors_total"] \
+            == len(graphs)
+        records = svc.flight.records()
+        assert len({r.request_id for r in records}) == len(records) \
+            == len(graphs)
+        assert all(r.outcome == "error" and r.error == "RuntimeError"
+                   and r.batch_size == len(graphs) for r in records)
+
+
+# --------------------------------------------------------------------- #
 # scheduler / colocation adoption
 # --------------------------------------------------------------------- #
 
