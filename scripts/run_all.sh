@@ -63,6 +63,14 @@ if waste is None or waste > 0.25:
     sys.exit("flush-window pad waste above 0.25: is a flush forwarded unbucketed?")
 PY
 
+echo "== train-epoch smoke: 5 s benchmark run with per-layer probe, every answer correct =="
+TRAIN_LAST="$(python3 perfbench/run.py --workload train-epoch --seed 1 \
+    --seconds 5 --trace 1 | tail -n 1)"
+case "$TRAIN_LAST" in
+    *'"correct": true'*) ;;
+    *) echo "train-epoch smoke failed: ${TRAIN_LAST:0:200}" >&2; exit 1 ;;
+esac
+
 echo "== benchmark gates: every perf / serve / obs / fleet / trace suite, once =="
 python -m repro bench --scale "$SCALE" \
     --out benchmarks/results/BENCH_perf.json --check

@@ -351,3 +351,122 @@ class TestHypothesisProperties:
         ((t * c) ** 2).sum().backward()
         np.testing.assert_allclose(t.grad, 2 * c * c * x, rtol=1e-9,
                                    atol=1e-9)
+
+
+def _tape(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``root`` through recorded parents."""
+    seen: dict[int, Tensor] = {}
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def _always_copy(self, grad):
+    """The copy-on-every-first-arrival rule the engine used to follow."""
+    if self.grad is None:
+        self.grad = np.array(grad, dtype=np.float64)
+    else:
+        self.grad += grad
+
+
+def _add_at(idx, values, shape):
+    """``np.add.at`` reference for the bincount scatter."""
+    out = np.zeros(shape)
+    np.add.at(out, idx, values)
+    return out
+
+
+class TestGradientOwnership:
+    """Leaves own their gradient buffers; interior nodes borrow and drop."""
+
+    @staticmethod
+    def _small_model():
+        from repro.core import DNNOccu, DNNOccuConfig
+        return DNNOccu(DNNOccuConfig(hidden=8, num_heads=2,
+                                     graphormer_layers=1), seed=3)
+
+    @staticmethod
+    def _features(name, device):
+        from repro.features import encode_graph
+        from repro.models import ModelConfig, build_model
+        return encode_graph(build_model(name, ModelConfig(batch_size=8)),
+                            device)
+
+    def test_parameter_grads_share_no_memory(self):
+        from repro.gpu import A100
+        model = self._small_model()
+        loss = (model(self._features("resnet-18", A100)) - 0.5) ** 2
+        loss.backward()
+        params = model.parameters()
+        datas = [t.data for t in _tape(loss)]
+        for i, p in enumerate(params):
+            assert p.grad is not None
+            for q in params[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad)
+            for d in datas:
+                assert not np.shares_memory(p.grad, d)
+
+    def test_clip_scales_fanned_out_gradient_once(self):
+        from repro.tensor import clip_grad_norm
+        p = Tensor(np.array([3.0, 0.0]), requires_grad=True)
+        q = Tensor(np.array([0.0, 4.0]), requires_grad=True)
+        seed = np.array([6.0, 8.0])
+        (p + q).backward(seed)
+        norm = clip_grad_norm([p, q], max_norm=1.0)
+        assert norm == pytest.approx(np.sqrt(200.0))
+        expected = seed * (1.0 / np.sqrt(200.0))
+        np.testing.assert_array_equal(p.grad, expected)
+        np.testing.assert_array_equal(q.grad, expected)
+        np.testing.assert_array_equal(seed, [6.0, 8.0])
+
+    def test_interior_grads_dropped_leaf_grads_kept(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+        loss = ((x @ w).tanh() + x[np.array([0, 0, 2])].sum()).sum()
+        loss.backward()
+        for t in _tape(loss):
+            if t._backward is None:
+                assert t.grad is not None
+            else:
+                assert t.grad is None
+        # A second backward accumulates into the kept leaf buffers.
+        gx = x.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, 2 * gx)
+
+    def test_index_add_bit_equal_to_add_at(self):
+        from repro.tensor.tensor import _index_add
+        idx = RNG.integers(0, 7, size=200)
+        for values, shape in ((RNG.normal(size=(200, 5)), (7, 5)),
+                              (RNG.normal(size=200), (7,)),
+                              (RNG.normal(size=(200, 2, 3)), (9, 2, 3))):
+            np.testing.assert_array_equal(_index_add(idx, values, shape),
+                                          _add_at(idx, values, shape))
+        with pytest.raises(IndexError):
+            _index_add(np.array([0, 7]), np.ones(2), (7,))
+
+    def test_zoo_grads_bit_equal_to_always_copy_engine(self, monkeypatch):
+        from repro.gpu import A100, P40, RTX2080TI
+        from repro.models import list_models
+        import repro.tensor.tensor as tensor_mod
+        model = self._small_model()
+        params = model.parameters()
+        for m in list_models():
+            for d in (A100, RTX2080TI, P40):
+                # One tape, two backwards: the engine's, then the old
+                # copy-always rule with add.at scatters.
+                loss = (model(self._features(m, d)) - 0.5) ** 2
+                model.zero_grad()
+                loss.backward()
+                ours = [p.grad for p in params]
+                model.zero_grad()
+                with monkeypatch.context() as patch:
+                    patch.setattr(tensor_mod, "_index_add", _add_at)
+                    patch.setattr(Tensor, "_accumulate", _always_copy)
+                    loss.backward()
+                for p, g in zip(params, ours):
+                    assert np.array_equal(g, p.grad), f"{m} on {d.name}"
