@@ -24,6 +24,8 @@ from repro.gpu import get_device, profile_graph
 from repro.models import ModelConfig, build_model
 from repro.perf import ProfileCache, collate, ensure_spd
 
+# benchmarks/conftest.py: the one conftest module of the benchmark tree
+# (a second one here would shadow it for the paper-table tests).
 from conftest import report
 
 DEVICE = get_device("A100")

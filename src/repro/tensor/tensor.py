@@ -93,6 +93,23 @@ def _index_add(idx, values: np.ndarray,
     return out
 
 
+def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
+                     bias: np.ndarray | None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``softmax(q @ kᵀ · scale + bias)`` over the last axis, computed in
+    one score buffer (``out`` when given).  Each step is the elementwise
+    arithmetic of the composed ``*``, ``+`` and :meth:`Tensor.softmax`,
+    in their order, so the result is bit-identical to them."""
+    s = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
+    s *= scale
+    if bias is not None:
+        s += bias
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
 class Tensor:
     """A NumPy-backed array node in an autograd graph.
 
@@ -580,6 +597,46 @@ class Tensor:
                 self._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
 
         return self._make(out_data, (self,), backward)
+
+    @staticmethod
+    def attention(q, k, v, bias=None, scale: float = 1.0) -> "Tensor":
+        """``softmax(q @ kᵀ · scale + bias) @ v`` as one tape node.
+
+        ``q`` is ``(..., n_q, d)``, ``k`` and ``v`` are ``(..., n_kv, d)``
+        and ``bias`` (a Tensor, an ndarray or None) broadcasts to the
+        ``(..., n_q, n_kv)`` scores.  The backward keeps only the
+        probabilities and runs the composed ops' backward arithmetic in
+        their order, so the output and every gradient are bit-identical
+        to ``((q @ kᵀ) * scale + bias).softmax(-1) @ v``.
+        """
+        q, k, v = (Tensor._coerce(t) for t in (q, k, v))
+        bias = None if bias is None else Tensor._coerce(bias)
+        p = _attention_probs(q.data, k.data, scale,
+                             None if bias is None else bias.data)
+
+        def backward(g: np.ndarray) -> None:
+            if v.requires_grad:
+                v._accumulate(np.swapaxes(p, -1, -2) @ g)
+            # softmax backward, in the fresh product ds
+            ds = g @ np.swapaxes(v.data, -1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            gb = None
+            if bias is not None and bias.requires_grad:
+                gb = _unbroadcast(ds, bias.shape)
+                bias._accumulate(gb)
+            if gb is ds:  # the bias borrowed ds whole: scale a copy
+                ds = ds * scale
+            else:
+                ds *= scale
+            if q.requires_grad:
+                q._accumulate(ds @ k.data)
+            if k.requires_grad:
+                k._accumulate(np.swapaxes(
+                    np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
+
+        parents = (q, k, v) if bias is None else (q, k, v, bias)
+        return Tensor._make(p @ v.data, parents, backward)
 
 
 def as_tensor(x) -> Tensor:

@@ -53,7 +53,7 @@ import numpy as np
 
 from ..lint.sanitizer import new_lock
 from ..obs.metrics import counter, gauge
-from .tensor import Tensor, is_grad_enabled, no_grad
+from .tensor import Tensor, _attention_probs, is_grad_enabled, no_grad
 
 __all__ = [
     "TraceError", "TraceMissError", "GradModeError",
@@ -188,6 +188,7 @@ _PATCHED_ATTRS: dict[str, str] = {
     "reshape": "reshape", "transpose": "transpose",
     "__getitem__": "getitem",
     "concat": "concat", "stack": "stack", "scatter_add": "scatter_add",
+    "attention": "attention",
 }
 
 _BINARY = frozenset({"add", "mul", "div", "matmul"})
@@ -396,6 +397,14 @@ class _Tracer:
             ins = (values, index)
             params = {"num_rows":
                       int(_arg(args, kwargs, 2, "num_rows", None))}
+        elif canon == "attention":
+            # q, k, v and an optional bias slot; the decoder's ndarray
+            # mask binds to the ``key_bias_heads`` input.
+            bias = _arg(args, kwargs, 3, "bias", None)
+            ins = tuple(self._slot_any(t) for t in args[:3])
+            if bias is not None:
+                ins += (self._slot_any(bias),)
+            params = {"scale": float(_arg(args, kwargs, 4, "scale", 1.0))}
         else:  # pragma: no cover - table and dispatch kept in sync
             raise TraceError(f"unknown traced op {canon!r}")
         self._emit(canon, ins, params, out)
@@ -849,6 +858,20 @@ def _build_step(op: TapeOp, buf: "np.ndarray | None", slots: list):
             buf.fill(0.0)
             np.add.at(buf, env[idx], env[vals])
             env[k] = buf
+        return step
+
+    if name == "attention":
+        q, key, v = ins[:3]
+        bias = ins[3] if len(ins) > 3 else None
+        scale = params["scale"]
+        # The score buffer is private to this step, outside the arena.
+        scores = np.empty(slots[q].shape[:-1] + (slots[key].shape[-2],))
+
+        def step(env):
+            p = _attention_probs(env[q], env[key], scale,
+                                 None if bias is None else env[bias],
+                                 out=scores)
+            env[k] = np.matmul(p, env[v], out=buf)
         return step
 
     raise TraceError(f"no kernel for traced op {name!r}")

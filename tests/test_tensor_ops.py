@@ -13,6 +13,7 @@ unmodified.
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -282,6 +283,61 @@ def _softmax_family(method):
     return samples
 
 
+def composed_attention(q, k, v, bias=None, scale=1.0):
+    """The reference :meth:`Tensor.attention` must match bit for bit: the
+    seven tape nodes ``MultiHeadAttention`` built before the fused op."""
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    if bias is not None:
+        scores = scores + bias
+    return scores.softmax(axis=-1) @ v
+
+
+def _key_mask(b: int, n: int) -> np.ndarray:
+    """A decoder-shaped ``(B, 1, 1, n)`` key mask: member 0 has its last
+    key padded, every other member is fully masked."""
+    mask = np.zeros((b, 1, 1, n))
+    mask[0, ..., -1] = MASKED
+    mask[1:] = MASKED
+    return mask
+
+
+def _attention():
+    b, h, n, d = 2, 2, 4, 3
+    mask = _key_mask(b, n)
+    return [
+        Sample("graphormer tensor bias",
+               lambda q, k, v, s: Tensor.attention(q, k, v, s, 0.5),
+               (_normal(b, h, n, d), _normal(b, h, n, d),
+                _normal(b, h, n, d), _normal(b, 1, n, n))),
+        # ``wrt`` skips q and k: member 1's ``q @ kᵀ + -1e30`` absorbs
+        # the finite-difference step, as in the softmax samples.
+        Sample("decoder mask, one fully masked member",
+               lambda q, k, v: Tensor.attention(q, k, v, mask, 0.5),
+               (_normal(b, h, n, d), _normal(b, h, n, d),
+                _normal(b, h, n, d)), wrt=(2,)),
+        Sample("pma n_q != n_kv",
+               lambda q, k, v: Tensor.attention(q, k, v, mask[:1], 0.5),
+               (_normal(1, h, 2, d), _normal(1, h, n, d),
+                _normal(1, h, n, d))),
+        Sample("no bias", lambda q, k, v: Tensor.attention(q, k, v),
+               (_normal(b, h, n, d), _normal(b, h, n, d),
+                _normal(b, h, n, d))),
+        # One head: the bias is as large as the scores, so the interior
+        # reshape borrows the score gradient itself, which must not be
+        # scaled in place afterwards.
+        Sample("one head, full-size interior bias",
+               lambda q, k, v, s: Tensor.attention(
+                   q, k, v, s.reshape(b, 1, n, n), 0.5),
+               (_normal(b, 1, n, d), _normal(b, 1, n, d),
+                _normal(b, 1, n, d), _normal(b, n, n))),
+        Sample("fan-out self-attention", lambda x: Tensor.attention(x, x, x),
+               (_normal(1, 1, n, d),)),
+        Sample("single node", lambda q, k, v: Tensor.attention(q, k, v),
+               (_normal(1, h, 1, d), _normal(1, h, 1, d),
+                _normal(1, h, 1, d))),
+    ]
+
+
 #: Every ``Tensor`` attribute whose body builds a tape node via ``_make``.
 OP_DB: tuple[OpInfo, ...] = (
     OpInfo("__add__", _add),
@@ -310,6 +366,7 @@ OP_DB: tuple[OpInfo, ...] = (
     OpInfo("scatter_add", _scatter_add),
     OpInfo("softmax", _softmax_family("softmax")),
     OpInfo("log_softmax", _softmax_family("log_softmax")),
+    OpInfo("attention", _attention),
 )
 
 
@@ -377,3 +434,100 @@ def test_every_entry_names_a_node_building_method():
     stale = [op.name for op in OP_DB
              if not _builds_node(vars(Tensor).get(op.name))]
     assert not stale, f"OP_DB entries for no _make builder: {stale}"
+
+
+def _leaf_grads(fn, inputs, seed):
+    """Output and input gradients of ``fn`` on fresh leaves, seeded."""
+    ts = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+    out = fn(*ts)
+    out.backward(seed)
+    return out.data, [t.grad for t in ts]
+
+
+class TestFusedAttentionBitIdentity:
+    """``Tensor.attention`` is bit-identical to the composed ops."""
+
+    @pytest.mark.parametrize("sample", _attention(), ids=lambda s: s.label)
+    def test_sample_bit_equal_to_composed(self, sample, monkeypatch):
+        ts = [Tensor(x) for x in sample.inputs]
+        _, seed = _upstream_view(sample.fn(*ts).shape)
+        fused = _leaf_grads(sample.fn, sample.inputs, seed)
+        monkeypatch.setattr(Tensor, "attention",
+                            staticmethod(composed_attention))
+        composed = _leaf_grads(sample.fn, sample.inputs, seed)
+        assert np.array_equal(fused[0], composed[0])
+        for got, want in zip(fused[1], composed[1]):
+            assert np.array_equal(got, want)
+
+    def test_zoo_bit_equal_to_composed(self, monkeypatch):
+        """Every zoo graph on three devices, alone and in padded
+        batches (``-1e30`` masks): the model output, every parameter
+        gradient and the q, k, v and bias gradients of every attention
+        call match the composed reference bit for bit."""
+        from repro.core import DNNOccu, DNNOccuConfig
+        from repro.features import encode_graph
+        from repro.gpu import A100, P40, RTX2080TI
+        from repro.models import ModelConfig, build_model, list_models
+        from repro.perf.batching import collate, ensure_spd
+
+        model = DNNOccu(DNNOccuConfig(hidden=8, num_heads=2,
+                                      graphormer_layers=1), seed=3)
+        params = model.parameters()
+        fused = Tensor.attention
+
+        def probed(attention, seen):
+            """``attention`` with each Tensor input passed through a node
+            that records the gradient reaching it, by call and role."""
+            def probe(t, key):
+                def backward(g):
+                    seen[key] = g.copy()
+                    t._accumulate(g)
+                return Tensor._make(t.data, (t,), backward)
+
+            calls = itertools.count()
+
+            def call(q, k, v, bias=None, scale=1.0):
+                n = next(calls)
+                if isinstance(bias, Tensor):
+                    bias = probe(bias, (n, "bias"))
+                return attention(probe(q, (n, "q")), probe(k, (n, "k")),
+                                 probe(v, (n, "v")), bias, scale)
+            return call
+
+        def run(batch, attention):
+            seen = {}
+            with monkeypatch.context() as patch:
+                patch.setattr(Tensor, "attention",
+                              staticmethod(probed(attention, seen)))
+                model.zero_grad()
+                out = model.forward_batch(batch)
+                ((out - 0.5) ** 2).sum().backward()
+            return [out.data] + [p.grad for p in params] \
+                + [seen[key] for key in sorted(seen)]
+
+        def batches():
+            for device in (A100, RTX2080TI, P40):
+                feats = {m: encode_graph(
+                    build_model(m, ModelConfig(batch_size=8)), device)
+                    for m in list_models()}
+                for f in feats.values():
+                    ensure_spd(f)
+                for f in feats.values():
+                    yield collate([f])
+                # Each other graph beside lenet, the one 14-node zoo
+                # graph: every pair is padded, with -1e30 key masks.
+                for m, f in feats.items():
+                    if m != "lenet":
+                        yield collate([feats["lenet"], f])
+
+        checked = padded = 0
+        for batch in batches():
+            got, want = run(batch, fused), run(batch, composed_attention)
+            # Graphormer, PMA and two SABs: 4 * (q, k, v) + one bias
+            assert len(got) == 1 + len(params) + 13
+            assert len(got) == len(want)
+            for g, ref in zip(got, want):
+                assert np.array_equal(g, ref)
+            checked += 1
+            padded += batch.num_graphs * batch.n_max != batch.total_nodes
+        assert (checked, padded) == (3 * 49, 3 * 24)

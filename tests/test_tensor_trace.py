@@ -7,6 +7,8 @@ Covers the satellite checklist of the compiled-executor tentpole:
 * bounded LRU trace cache with eviction accounting;
 * the grad-mode hazard: tracing/replay under grad is a hard error;
 * fused-vs-unfused tape equality and fusion actually shrinking tapes;
+* coverage: every ``Tensor`` op that builds a tape node is interposed,
+  so none of them can be captured as a constant;
 * arena buffer reuse without aliasing between live slots;
 * adoption: ``predict_batch(traced=True)`` is the one opt-in switch;
   ``PredictorService`` flushes, ``predict_many`` and ``WorkerCore``
@@ -24,7 +26,8 @@ from repro.gpu import A100, P40
 from repro.models import ModelConfig, build_model, list_models
 from repro.perf.batching import collate, ensure_spd
 from repro.tensor import Tensor, no_grad
-from repro.tensor.trace import (DEFAULT_CACHE_SIZE, GradModeError,
+from repro.tensor.trace import (_PATCHED_ATTRS, DEFAULT_CACHE_SIZE,
+                                GradModeError,
                                 TraceCache, TraceMissError, TracedExecutor,
                                 batch_signature, compile_tape, fuse_tape,
                                 trace_forward)
@@ -107,6 +110,23 @@ class TestSignatureAndCache:
         assert not np.array_equal(out_a, out_b)
         assert np.abs(out_b - want_b).max() <= 1e-6
 
+    def test_padded_replay_recomputes_every_op(self):
+        # A plan compiled on one padded batch replays another with the
+        # same signature but different feature values: an op the tracer
+        # missed would replay the first batch's value as a constant.
+        executor = TracedExecutor(_model())
+        a = _batch(("lenet", "alexnet"), (1,))
+        b = _batch(("lenet", "alexnet"), (16,))
+        assert batch_signature(a) == batch_signature(b)
+        assert a.num_graphs * a.n_max != a.total_nodes
+        assert not np.array_equal(a.node_features, b.node_features)
+        with no_grad():
+            executor.run(a)
+            got = executor.run(b)
+            want = np.asarray(_model().forward_batch(b).data)
+        assert len(executor.cache) == 1
+        assert np.abs(got - want).max() <= 1e-6
+
     def test_lru_eviction_is_bounded_and_counted(self):
         executor = TracedExecutor(_model(), capacity=2)
         batches = [_batch(("rnn",), (1,)),
@@ -185,6 +205,17 @@ class TestFusion:
             fused_out = TracedExecutor(model).run(batch)
             plain_out = TracedExecutor(model, fuse=False).run(batch)
         assert np.array_equal(fused_out, plain_out)
+
+
+class TestCoverage:
+    def test_every_node_building_method_is_interposed(self):
+        from tests.test_tensor_ops import _builds_node
+        builders = {name for name, attr in vars(Tensor).items()
+                    if _builds_node(attr)}
+        assert {"__add__", "attention"} <= builders
+        missing = builders - set(_PATCHED_ATTRS)
+        assert not missing, \
+            f"Tensor ops the tracer does not interpose: {sorted(missing)}"
 
 
 class TestArena:
