@@ -37,8 +37,8 @@ __all__ = ["bench_speedup", "speedup_line", "bench_equivalence",
            "fallback_line"]
 
 #: the scheduler-loop workload: one drain-sized micro-batch of small
-#: graphs (fleet workers coalesce up to ``WorkerSpec.max_batch`` queued
-#: requests into one forward; rnn/lstm are the zoo's smallest graphs)
+#: graphs (fleet workers coalesce up to 8 queued requests into one
+#: forward; rnn/lstm are the zoo's smallest graphs)
 _TRACE_MODELS = ("rnn", "lstm")
 _TRACE_BATCH_SIZES = (1, 2, 4)
 

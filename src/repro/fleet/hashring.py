@@ -31,6 +31,9 @@ from ..lint.sanitizer import new_lock
 
 __all__ = ["HashRing"]
 
+#: virtual nodes per worker on the ring
+_REPLICAS = 64
+
 
 def _point(token: str) -> int:
     """A 64-bit ring position for an arbitrary token."""
@@ -52,10 +55,7 @@ def key_point(key: str) -> int:
 class HashRing:
     """Virtual-node consistent-hash ring over integer worker ids."""
 
-    def __init__(self, replicas: int = 64):
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = int(replicas)
+    def __init__(self):
         self._lock = new_lock("HashRing._lock")
         #: sorted, parallel: vnode ring positions and their worker ids
         self._points: list[int] = []
@@ -64,7 +64,7 @@ class HashRing:
 
     def _vnode_points(self, worker_id: int) -> list[int]:
         return [_point(f"worker-{worker_id}#{i}")
-                for i in range(self.replicas)]
+                for i in range(_REPLICAS)]
 
     def add(self, worker_id: int) -> None:
         """Place ``worker_id``'s virtual nodes; idempotent."""

@@ -42,8 +42,8 @@ from ..obs.context import use_context
 from ..obs.metrics import Histogram, counter, gauge, histogram
 from ..obs.tracing import span
 from ..perf.cache import PredictionCache, graph_key
-from ..resilience import (ExponentialBackoff, FallbackPredictor,
-                          FaultConfig, default_fallback_chain)
+from ..resilience import (FallbackPredictor, FaultConfig,
+                          default_fallback_chain)
 from ..serve.batcher import Ticket
 from .hashring import HashRing
 from .supervisor import Supervisor
@@ -59,6 +59,9 @@ _log = get_logger("fleet.service")
 #: retry that waits out the hang deadline plus a restart backoff.
 _LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                     0.1, 0.25, 0.5, 1.0, 2.5)
+
+#: how long close() waits for in-flight tickets before degrading them
+_DRAIN_TIMEOUT_S = 10.0
 
 
 class _Pending:
@@ -121,9 +124,11 @@ class FleetService:
         exceed the worst-case *single-request* service time for the
         workload (chaos tests with small graphs can run it much
         tighter than the conservative default).
-    restart_backoff:
-        :class:`~repro.resilience.ExponentialBackoff` for restart
-        delays (default: 10 ms base, cap 1 s).
+
+    The rest is fixed: 64 virtual ring nodes per worker, a 20 ms
+    worker poll/heartbeat and supervisor tick, a 256-request worker
+    inbox, restarts backed off from 10 ms doubling to a 1 s cap, and a
+    10 s drain on :meth:`close`.
     """
 
     def __init__(self, *, num_workers: int = 2, mode: str = "thread",
@@ -131,16 +136,10 @@ class FleetService:
                  model_kwargs: "dict | None" = None,
                  device: "DeviceSpec | str" = "A100",
                  shared_cache_dir: "str | None" = None,
-                 cache_size: int = 1024,
                  fallback: "FallbackPredictor | None" = None,
                  fault_config: "FaultConfig | None" = None,
-                 fault_seed: int = 0,
-                 max_retries: int = 3, max_inflight: int = 256,
-                 hb_interval_s: float = 0.02,
-                 hang_deadline_s: float = 5.0,
-                 restart_backoff: "ExponentialBackoff | None" = None,
-                 supervisor_tick_s: float = 0.02,
-                 ring_replicas: int = 64):
+                 fault_seed: int = 0, max_retries: int = 3,
+                 hang_deadline_s: float = 5.0):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if mode not in ("thread", "process"):
@@ -160,12 +159,11 @@ class FleetService:
             device_name=self._device.name,
             model_factory=model_factory,
             model_kwargs=dict(model_kwargs or {}),
-            cache_size=cache_size, shared_cache_dir=shared_cache_dir,
-            fault_config=fault_config, fault_seed=fault_seed,
-            hb_interval_s=hb_interval_s, max_inflight=max_inflight)
+            shared_cache_dir=shared_cache_dir,
+            fault_config=fault_config, fault_seed=fault_seed)
 
         self._cond = new_condition("FleetService._cond")
-        self._ring = HashRing(replicas=ring_replicas)
+        self._ring = HashRing()
         self._handles: dict = {}
         self._incarnations: dict = {}
         self._pending: dict = {}
@@ -192,10 +190,8 @@ class FleetService:
             self._incarnations[wid] = 0
             self._handles[wid] = handle
             self._ring.add(wid)
-        self._supervisor = Supervisor(
-            health_cb=self._check_health,
-            restart_cb=self._restart_worker,
-            backoff=restart_backoff, tick_s=supervisor_tick_s)
+        self._supervisor = Supervisor(health_cb=self._check_health,
+                                      restart_cb=self._restart_worker)
 
     # -- request paths --------------------------------------------------- #
     def predict(self, graph, device=None,
@@ -547,11 +543,11 @@ class FleetService:
         out["fallback_tiers"] = self.fallback.counts()
         return out
 
-    def close(self, drain_timeout_s: float = 10.0) -> None:
+    def close(self) -> None:
         """Graceful drain, then stop everything.  Idempotent.
 
         Stops accepting (post-close requests degrade synchronously),
-        waits up to ``drain_timeout_s`` for in-flight tickets to
+        waits up to 10 s (``_DRAIN_TIMEOUT_S``) for in-flight tickets to
         resolve — worker deaths during the drain still reroute, so a
         chaos-ridden drain converges — then stops the supervisor and
         workers.  Whatever is *still* unresolved past the deadline is
@@ -562,7 +558,7 @@ class FleetService:
             if self._closed:
                 return
             self._closed = True
-            deadline = time.monotonic() + drain_timeout_s
+            deadline = time.monotonic() + _DRAIN_TIMEOUT_S
             while self._pending and time.monotonic() < deadline:
                 self._cond.wait(0.05)
             leftovers = list(self._pending.values())

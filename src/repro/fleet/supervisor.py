@@ -81,10 +81,6 @@ class Supervisor:
         with self._cond:
             self._attempts.pop(worker_id, None)
 
-    def pending_restarts(self) -> list[int]:
-        with self._cond:
-            return sorted(self._due)
-
     def attempts(self, worker_id: int) -> int:
         with self._cond:
             return self._attempts.get(worker_id, 0)

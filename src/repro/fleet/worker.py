@@ -3,18 +3,23 @@
 One worker = one :class:`~repro.serve.ModelSession` (private result +
 encoding LRUs) stacked on the shared on-disk
 :class:`~repro.perf.PredictionCache` tier.  :class:`WorkerCore` is the
-mode-agnostic serving logic — the session's cache ladder (LRU, then
-shared tier, then forward) — plus the deterministic per-request fault draw
-(:meth:`repro.resilience.FaultInjector.worker_fault`).
+mode-agnostic serving logic: the session's cache ladder (LRU, then
+shared tier, then forward), the deterministic per-request fault draw
+(:meth:`repro.resilience.FaultInjector.worker_fault`), and
+:meth:`WorkerCore.serve`, the one serve step both hosts run on every
+drained batch.
 
 Two hosts wrap the core behind one handle interface
 (``submit`` / ``heartbeat_age`` / ``alive`` / ``kill`` / ``close`` and
-the ``on_result`` / ``on_death`` callbacks):
+the ``on_result`` / ``on_death`` callbacks).  They share identity,
+liveness and the bounded inbox ``submit`` appends to, and differ only
+in where requests wait and how a fault ends the worker:
 
-* :class:`InProcessWorker` — a thread in this process.  Deterministic
-  and cheap; the default for tests and the chaos benchmarks.  A
-  ``kill`` fault marks the worker dead and fires ``on_death``; a
-  ``hang`` fault stops heartbeating until the supervisor kills it.
+* :class:`InProcessWorker` — a thread in this process drains the
+  inbox.  Deterministic and cheap; the default for tests and the chaos
+  benchmarks.  A ``kill`` fault marks the worker dead and fires
+  ``on_death``; a ``hang`` fault stops heartbeating until the
+  supervisor kills it.
 * :class:`ProcessWorker` — a real **spawned** child process over a
   duplex pipe.  Spawn, not fork: the parent runs supervisor/reader
   threads and holds obs/logging locks, and forking a locked thread is
@@ -52,8 +57,21 @@ __all__ = ["WorkerSpec", "WorkerCore", "InProcessWorker", "ProcessWorker",
 
 _log = get_logger("fleet.worker")
 
-#: idle-poll period for worker loops; submits/close notify immediately
+#: idle-poll period of every worker loop, and so the heartbeat period:
+#: an idle worker beats once per poll; submits and closes notify at once
 _POLL_S = 0.02
+
+#: submit raises WorkerBusyError beyond this many queued requests
+_MAX_INFLIGHT = 256
+
+#: drain cap: queued requests served per wake as one batched forward
+_MAX_BATCH = 8
+
+#: heartbeat grace before a child's first beat (spawn + import + build)
+_SPAWN_GRACE_S = 30.0
+
+#: how long a hung child blocks before it exits on its own
+_HANG_BLOCK_S = 60.0
 
 #: child exit code for an injected kill fault (diagnosable in waitpid)
 _KILL_EXIT = 87
@@ -82,29 +100,24 @@ def default_model_factory(hidden: int = 32, num_heads: int = 4,
 
 @dataclass
 class WorkerSpec:
-    """Everything needed to (re)build one worker, picklable for spawn."""
+    """Everything needed to (re)build one worker, picklable for spawn.
+
+    How a worker is served is fixed by module constants: a 20 ms
+    poll/heartbeat period, a 256-request inbox, a drain cap of 8
+    requests per batched forward, a 30 s spawn grace before a child's
+    first heartbeat and a 60 s block for a hung child.
+    """
 
     worker_id: int
     incarnation: int = 0
     device_name: str = "A100"
     model_factory: "object" = default_model_factory
     model_kwargs: dict = field(default_factory=dict)
-    cache_size: int = 1024
     #: shared on-disk prediction tier; None disables it
     shared_cache_dir: "str | None" = None
     #: fault injection; None or all-zero probabilities = no chaos
     fault_config: "FaultConfig | None" = None
     fault_seed: int = 0
-    #: child heartbeat period (process mode) / idle-beat period
-    hb_interval_s: float = 0.02
-    #: how long a hung child blocks before giving up and exiting
-    hang_block_s: float = 60.0
-    #: submit raises WorkerBusyError beyond this many queued requests
-    max_inflight: int = 256
-    #: heartbeat grace before the first beat (spawn + import + build)
-    spawn_grace_s: float = 30.0
-    #: drain cap: queued requests served per wake as one batched forward
-    max_batch: int = 8
 
 
 class WorkerCore:
@@ -117,9 +130,7 @@ class WorkerCore:
     def __init__(self, spec: WorkerSpec):
         self.spec = spec
         model = spec.model_factory(**spec.model_kwargs)
-        device = get_device(spec.device_name)
-        self.session = ModelSession(model, device,
-                                    cache_size=spec.cache_size)
+        self.session = ModelSession(model, get_device(spec.device_name))
         self.shared = PredictionCache(spec.shared_cache_dir) \
             if spec.shared_cache_dir else None
         cfg = spec.fault_config
@@ -145,16 +156,6 @@ class WorkerCore:
         return self.injector.worker_fault(self.spec.worker_id,
                                           self.spec.incarnation, idx)
 
-    def handle(self, graph, device_name: "str | None" = None) \
-            -> tuple[float, str]:
-        """Serve one graph; returns ``(prediction, tier)``.
-
-        ``tier`` is where the answer came from: ``"lru"`` (private
-        result cache), ``"shared"`` (on-disk tier, promoted into the
-        LRU), or ``"forward"`` (computed here and published to both).
-        """
-        return self.handle_many([(graph, device_name)])[0]
-
     def handle_many(self, requests) -> "list[tuple[float, str]]":
         """Serve a drained micro-batch of ``(graph, device_name)`` pairs.
 
@@ -163,39 +164,57 @@ class WorkerCore:
         run as one eager forward per size bucket — a single miss is
         the batch of one :meth:`~repro.core.DNNOccu.predict` runs, so
         bit-identical to it.  Returns one ``(prediction, tier)`` pair
-        per request, in request order.
+        per request, in request order; ``tier`` is ``"lru"``,
+        ``"shared"`` or ``"forward"``.
         """
         return self.session.resolve(
             [(graph, get_device(name) if name else None)
              for graph, name in requests],
-            shared=self.shared, batch_size=self.spec.max_batch)
+            shared=self.shared, batch_size=_MAX_BATCH)
+
+    def serve(self, drained, emit) -> "str | None":
+        """Serve one drained batch of ``(req_id, graph, device_name)``.
+
+        Draws each request's fault verdict in arrival order and stops
+        at the first fault.  The clean prefix is served as one
+        :meth:`handle_many` batch, each answer passed to
+        ``emit(req_id, value, tier)``; the faulted request and
+        everything drained behind it die with the worker, and the
+        service reroutes them on the death.  Returns the fault
+        (``"kill"`` or ``"hang"``) or None.  A serving error propagates:
+        the host dies of it.
+        """
+        clean: "list[tuple]" = []
+        fault = None
+        for item in drained:
+            fault = self.next_fault()
+            if fault is not None:
+                break
+            clean.append(item)
+        if clean:
+            outs = self.handle_many(
+                [(graph, device_name) for _, graph, device_name in clean])
+            for (req_id, _, _), (value, tier) in zip(clean, outs):
+                emit(req_id, value, tier)
+        return fault
 
 
-class InProcessWorker:
-    """One worker thread in this process — the deterministic mode.
+class _WorkerHost:
+    """The surface both hosts share: identity, liveness, the inbox.
 
-    The model is built eagerly in the constructor (no spawn latency),
-    requests queue through a bounded deque, and the worker thread
-    simulates the same fault behaviors a child process exhibits: a kill
-    verdict drops the queue and fires ``on_death``; a hang verdict
-    stops heartbeats until :meth:`kill`.
+    ``submit`` only appends to the bounded inbox under the handle lock,
+    so a client holding service locks never waits on a worker.
     """
 
     def __init__(self, spec: WorkerSpec, on_result, on_death):
         self._spec = spec
         self._on_result = on_result
         self._on_death = on_death
-        self._core = WorkerCore(spec)
-        self._cond = new_condition("InProcessWorker._cond")
-        self._queue: "list[tuple]" = []
+        self._cond = new_condition(f"{type(self).__name__}._cond")
+        self._inbox: "list[tuple]" = []
         self._stopped = False
         self._dead = False
         self._beat = time.monotonic()
-        self._hang_wake = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name=f"repro-fleet-w{spec.worker_id}",
-            daemon=True)
-        self._thread.start()
 
     @property
     def worker_id(self) -> int:
@@ -205,20 +224,20 @@ class InProcessWorker:
     def incarnation(self) -> int:
         return self._spec.incarnation
 
-    # -- client side ---------------------------------------------------- #
     def submit(self, req_id: int, graph,
                device_name: "str | None") -> None:
         with self._cond:
             if self._dead or self._stopped:
                 raise WorkerUnavailableError(
                     f"worker {self._spec.worker_id} is not accepting")
-            if len(self._queue) >= self._spec.max_inflight:
+            if len(self._inbox) >= _MAX_INFLIGHT:
                 raise WorkerBusyError(
                     f"worker {self._spec.worker_id} inbox full")
-            self._queue.append((req_id, graph, device_name))
+            self._inbox.append((req_id, graph, device_name))
             self._cond.notify_all()
 
     def heartbeat_age(self, now: "float | None" = None) -> float:
+        """Seconds since the last heartbeat; negative in a spawn grace."""
         with self._cond:
             return (now if now is not None else time.monotonic()) \
                 - self._beat
@@ -229,183 +248,167 @@ class InProcessWorker:
 
     def kill(self) -> None:
         """Force-stop without firing ``on_death`` (the caller knows)."""
+        self._halt()
+
+    def _halt(self) -> bool:
+        """Mark dead and drop the inbox; False if already stopped."""
         with self._cond:
+            running = not (self._dead or self._stopped)
             self._dead = True
             self._stopped = True
-            self._queue.clear()
+            self._inbox.clear()
             self._cond.notify_all()
-        self._hang_wake.set()
+        return running
+
+    def _stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+
+    def _emit(self, req_id: int, value: float, tier: str) -> None:
+        self._on_result(self._spec.worker_id, self._spec.incarnation,
+                        req_id, value, tier)
+
+    def _die(self, kind: str) -> None:
+        """Drop everything and report the death once.
+
+        Silent when :meth:`kill` or ``close`` got there first: the
+        parent already knows.
+        """
+        if self._halt():
+            self._on_death(self._spec.worker_id, self._spec.incarnation,
+                           kind)
+
+
+class InProcessWorker(_WorkerHost):
+    """One worker thread in this process — the deterministic mode.
+
+    The model is built eagerly in the constructor (no spawn latency),
+    requests wait in the inbox, and the worker thread simulates the
+    fault behaviors a child process exhibits: a kill verdict drops the
+    inbox and fires ``on_death``; a hang verdict stops heartbeats until
+    :meth:`kill`.
+    """
+
+    def __init__(self, spec: WorkerSpec, on_result, on_death):
+        self._core = WorkerCore(spec)
+        super().__init__(spec, on_result, on_death)
+        self._thread = threading.Thread(
+            target=self._run, name=f"repro-fleet-w{spec.worker_id}",
+            daemon=True)
+        self._thread.start()
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop the worker thread and join it; idempotent."""
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-        self._hang_wake.set()
+        self._stop()
         self._thread.join(timeout)
 
-    # -- worker thread --------------------------------------------------- #
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._queue and not self._stopped:
+                while not self._inbox and not self._stopped:
                     self._cond.wait(_POLL_S)
                     self._beat = time.monotonic()
                 if self._stopped:
                     return
-                drained = self._queue[:self._spec.max_batch]
-                del self._queue[:len(drained)]
+                drained = self._inbox[:_MAX_BATCH]
+                del self._inbox[:len(drained)]
                 self._beat = time.monotonic()
-            # Draw each drained request's fault verdict in arrival order,
-            # stopping at the first fault: the clean prefix is served as
-            # one batch, the faulted request and everything drained
-            # behind it die with the worker — the same orphan-then-retry
-            # outcome as the serial loop, where _die clears the queue.
-            serve: "list[tuple]" = []
-            fault = None
-            for item in drained:
-                verdict = self._core.next_fault()
-                if verdict is not None:
-                    fault = verdict
-                    break
-                serve.append(item)
-            if serve:
-                try:
-                    outs = self._core.handle_many(
-                        [(graph, device_name)
-                         for _, graph, device_name in serve])
-                except Exception as exc:
-                    _log.warning("worker request failed; dying", extra={
-                        "worker": self._spec.worker_id,
-                        "error": type(exc).__name__})
-                    self._die("error")
-                    return
-                for (req_id, _, _), (value, tier) in zip(serve, outs):
-                    self._on_result(self._spec.worker_id,
-                                    self._spec.incarnation,
-                                    req_id, value, tier)
-            if fault == "kill":
-                self._die("kill")
-                return
+            try:
+                fault = self._core.serve(drained, self._emit)
+            except Exception as exc:
+                _log.warning("worker request failed; dying", extra={
+                    "worker": self._spec.worker_id,
+                    "error": type(exc).__name__})
+                fault = "error"
             if fault == "hang":
                 self._hang()
                 return
+            if fault is not None:
+                self._die(fault)
+                return
             with self._cond:
                 self._beat = time.monotonic()
 
-    def _die(self, kind: str) -> None:
-        """Simulated crash: drop everything, report once, exit."""
-        with self._cond:
-            already = self._dead
-            self._dead = True
-            self._stopped = True
-            self._queue.clear()
-            self._cond.notify_all()
-        if not already:
-            self._on_death(self._spec.worker_id, self._spec.incarnation,
-                           kind)
-
     def _hang(self) -> None:
         """Simulated hang: no beats, no progress, until killed."""
-        while True:
-            self._hang_wake.wait(_POLL_S)
-            with self._cond:
-                if self._dead or self._stopped:
-                    self._queue.clear()
-                    return
+        with self._cond:
+            while not self._stopped:
+                self._cond.wait(_POLL_S)
 
 
 def _process_worker_main(spec: WorkerSpec, conn) -> None:
     """Child-process entry point: serve requests off the pipe.
 
-    Heartbeats ride the idle ``poll`` timeout — a responsive child
-    beats at least every ``hb_interval_s``.  A kill fault announces its
-    kind (so the parent labels the death correctly) then hard-exits; a
-    hang fault just goes silent, exactly the failure the heartbeat
-    deadline exists to catch.
+    The parent sends ``(req_id, graph, device_name)`` requests and
+    ``None`` to close.  Heartbeats ride the idle ``poll`` timeout — a
+    responsive child beats at least every ``_POLL_S``.  A kill fault
+    announces its kind (so the parent labels the death correctly) then
+    hard-exits; a hang fault just goes silent, exactly the failure the
+    heartbeat deadline exists to catch.
     """
     core = WorkerCore(spec)
+
+    def emit(req_id, value, tier):
+        conn.send(("ok", req_id, value, tier))
+
     try:
         conn.send(("hb",))
-    except OSError:
-        return
-    while True:
-        try:
-            if not conn.poll(spec.hb_interval_s):
+        while True:
+            if not conn.poll(_POLL_S):
                 conn.send(("hb",))
                 continue
             msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        if msg[0] == "close":
-            return
-        # Drain whatever else is already on the pipe (up to the batch
-        # cap) so queued-up requests share one batched forward.
-        batch = [msg]
-        closing = False
-        try:
-            while len(batch) < spec.max_batch and conn.poll(0):
-                nxt = conn.recv()
-                if nxt[0] == "close":
+            if msg is None:
+                return
+            # Drain whatever else is already on the pipe (up to the
+            # drain cap) so queued-up requests share one batched forward.
+            batch = [msg]
+            closing = False
+            while len(batch) < _MAX_BATCH and conn.poll(0):
+                msg = conn.recv()
+                if msg is None:
                     closing = True
                     break
-                batch.append(nxt)
-        except (EOFError, OSError):
-            return
-        # Same arrival-order fault draw as the thread mode: the clean
-        # prefix is served, the faulted request and the drained suffix
-        # die with the worker (the parent reroutes them on death).
-        serve: "list[tuple]" = []
-        fault = None
-        for _, req_id, graph, device_name in batch:
-            verdict = core.next_fault()
-            if verdict is not None:
-                fault = verdict
-                break
-            serve.append((req_id, graph, device_name))
-        if serve:
+                batch.append(msg)
             try:
-                outs = core.handle_many(
-                    [(graph, device_name)
-                     for _, graph, device_name in serve])
+                fault = core.serve(batch, emit)
             except Exception:
-                # A real serving bug: die loudly; the parent sees EOF
+                # A serving bug or a lost pipe: die; the parent sees EOF
                 # and reroutes, the supervisor restarts with backoff.
                 os._exit(1)
-            for (req_id, _, _), (value, tier) in zip(serve, outs):
+            if fault == "kill":
                 try:
-                    conn.send(("ok", req_id, value, tier))
-                except (EOFError, OSError):
-                    return
-        if fault == "kill":
-            try:
-                conn.send(("fault", "kill"))
-            except OSError:
-                pass
-            os._exit(_KILL_EXIT)
-        if fault == "hang":
-            # Block without beating until the parent terminates us (or
-            # the grace expires and we exit on our own).
-            threading.Event().wait(spec.hang_block_s)
-            return
-        if closing:
-            return
+                    conn.send(("fault", "kill"))
+                except OSError:
+                    pass
+                os._exit(_KILL_EXIT)
+            if fault == "hang":
+                # Block without beating until the parent terminates us
+                # (or the block ends and we exit on our own).
+                threading.Event().wait(_HANG_BLOCK_S)
+                return
+            if closing:
+                return
+    except (EOFError, OSError):
+        return
 
 
-class ProcessWorker:
+class ProcessWorker(_WorkerHost):
     """One spawned child process behind parent-side pump threads.
 
-    ``submit`` only appends to a bounded outbox under the handle lock —
-    the **sender** thread does the potentially blocking pipe write, so
-    a hung child (full pipe) can never block a client thread that is
-    holding service locks.  The **reader** thread turns child messages
-    into callbacks and pipe EOF into a single ``on_death``.
+    The **sender** thread moves the inbox onto the pipe — it does the
+    potentially blocking pipe write, so a hung child (full pipe) can
+    never block a client thread that is holding service locks.  The
+    **reader** thread turns child messages into callbacks and pipe EOF
+    into a single ``on_death``.
     """
 
     def __init__(self, spec: WorkerSpec, on_result, on_death):
-        self._spec = spec
-        self._on_result = on_result
-        self._on_death = on_death
+        super().__init__(spec, on_result, on_death)
+        # No beat is due before the spawn grace has passed (interpreter
+        # start + imports + model build): a cold start is not a hang.
+        self._beat += _SPAWN_GRACE_S
         ctx = mp.get_context("spawn")
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(
@@ -413,14 +416,6 @@ class ProcessWorker:
             name=f"repro-fleet-w{spec.worker_id}", daemon=True)
         self._proc.start()
         child_conn.close()
-        self._cond = new_condition("ProcessWorker._cond")
-        self._outbox: "list[tuple]" = []
-        self._stopped = False
-        self._dead = False
-        #: None until the child's first heartbeat lands (spawn grace)
-        self._beat: "float | None" = None
-        self._started_at = time.monotonic()
-        self._death_kind: "str | None" = None
         self._sender = threading.Thread(
             target=self._send_loop,
             name=f"repro-fleet-w{spec.worker_id}-send", daemon=True)
@@ -430,62 +425,18 @@ class ProcessWorker:
         self._sender.start()
         self._reader.start()
 
-    @property
-    def worker_id(self) -> int:
-        return self._spec.worker_id
-
-    @property
-    def incarnation(self) -> int:
-        return self._spec.incarnation
-
-    # -- client side ---------------------------------------------------- #
-    def submit(self, req_id: int, graph,
-               device_name: "str | None") -> None:
-        with self._cond:
-            if self._dead or self._stopped:
-                raise WorkerUnavailableError(
-                    f"worker {self._spec.worker_id} is not accepting")
-            if len(self._outbox) >= self._spec.max_inflight:
-                raise WorkerBusyError(
-                    f"worker {self._spec.worker_id} outbox full")
-            self._outbox.append(("req", req_id, graph, device_name))
-            self._cond.notify_all()
-
-    def heartbeat_age(self, now: "float | None" = None) -> float:
-        """Seconds since the last child heartbeat.
-
-        Before the first beat the child is still spawning (interpreter
-        start + imports + model build); age only starts counting past
-        ``spawn_grace_s`` so a cold start is not mistaken for a hang.
-        """
-        t = now if now is not None else time.monotonic()
-        with self._cond:
-            if self._beat is not None:
-                return t - self._beat
-            return t - self._started_at - self._spec.spawn_grace_s
-
-    def alive(self) -> bool:
-        with self._cond:
-            return not self._dead and not self._stopped
-
     def kill(self) -> None:
-        """Terminate the child without firing ``on_death``."""
-        with self._cond:
-            self._dead = True
-            self._stopped = True
-            self._cond.notify_all()
+        """Terminate and reap the child without firing ``on_death``."""
+        super().kill()
         try:
             self._proc.terminate()
+            self._proc.join(5.0)
         except (OSError, ValueError):
             pass
 
     def close(self, timeout: float = 5.0) -> None:
         """Graceful stop: close message, join pumps and the child."""
-        with self._cond:
-            if not self._dead:
-                self._outbox.append(("close",))
-            self._stopped = True
-            self._cond.notify_all()
+        self._stop()
         self._sender.join(timeout)
         self._reader.join(timeout)
         self._proc.join(timeout)
@@ -496,52 +447,40 @@ class ProcessWorker:
                 pass
             self._proc.join(timeout)
 
-    # -- pump threads ----------------------------------------------------- #
     def _send_loop(self) -> None:
         while True:
             with self._cond:
-                while not self._outbox and not self._stopped \
-                        and not self._dead:
+                while not self._inbox and not self._stopped:
                     self._cond.wait(_POLL_S)
-                if self._dead or (self._stopped and not self._outbox):
+                if self._dead:
                     return
-                msg = self._outbox.pop(0)
+                # stopped with an empty inbox: send the close message
+                msg = self._inbox.pop(0) if self._inbox else None
             try:
                 self._conn.send(msg)
-            except (OSError, ValueError, BrokenPipeError):
+            except (OSError, ValueError):
+                return
+            if msg is None:
                 return
 
     def _read_loop(self) -> None:
+        kind = "exit"
         while True:
             try:
                 if not self._conn.poll(_POLL_S):
                     with self._cond:
-                        if self._stopped or self._dead:
+                        if self._stopped:
                             return
                     continue
                 msg = self._conn.recv()
             except (EOFError, OSError):
                 break
-            kind = msg[0]
-            if kind == "hb":
-                with self._cond:
-                    self._beat = time.monotonic()
-            elif kind == "fault":
-                with self._cond:
-                    self._death_kind = msg[1]
-            elif kind == "ok":
-                with self._cond:
-                    self._beat = time.monotonic()
-                self._on_result(self._spec.worker_id,
-                                self._spec.incarnation,
-                                msg[1], msg[2], msg[3])
-        # EOF: the child is gone.  Report it unless the parent already
-        # knows (kill() marked dead, or close() is tearing down).
-        with self._cond:
-            already = self._dead or self._stopped
-            self._dead = True
-            kind = self._death_kind or "exit"
-            self._cond.notify_all()
-        if not already:
-            self._on_death(self._spec.worker_id, self._spec.incarnation,
-                           kind)
+            if msg[0] == "fault":
+                kind = msg[1]
+                continue
+            with self._cond:
+                self._beat = time.monotonic()
+            if msg[0] == "ok":
+                self._emit(*msg[1:])
+        # EOF: the child is gone
+        self._die(kind)

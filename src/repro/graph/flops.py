@@ -16,7 +16,7 @@ from typing import Any, Callable
 from .node import tensor_numel
 
 __all__ = ["op_flops", "op_temp_bytes", "OP_TYPES", "op_type_index",
-           "flops_rule_ops", "has_flops_rule"]
+           "flops_rule_ops"]
 
 
 def _conv2d(attrs: dict[str, Any], inputs, output) -> int:
@@ -167,11 +167,6 @@ def op_type_index(op_type: str) -> int:
 def flops_rule_ops() -> frozenset[str]:
     """Every op type with a registered FLOPs formula."""
     return frozenset(_FLOPS)
-
-
-def has_flops_rule(op_type: str) -> bool:
-    """True when ``op_type`` has a registered FLOPs formula."""
-    return op_type in _FLOPS
 
 
 def op_flops(op_type: str, attrs: dict[str, Any],

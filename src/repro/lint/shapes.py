@@ -21,8 +21,7 @@ from typing import Any, Callable
 
 from ..graph import tensor_numel
 
-__all__ = ["infer_output_shape", "ShapeRuleViolation", "SHAPE_RULES",
-           "shape_rule_ops"]
+__all__ = ["infer_output_shape", "ShapeRuleViolation", "SHAPE_RULES"]
 
 Shape = tuple[int, ...]
 Rule = Callable[[dict[str, Any], list[Shape]], "Shape | None"]
@@ -271,11 +270,6 @@ SHAPE_RULES: dict[str, Rule] = {
 #: operators whose recorded shape is only numel-constrained, not derivable
 _NUMEL_EQ = frozenset({"Reshape"})
 _NUMEL_LE = frozenset({"Slice"})
-
-
-def shape_rule_ops() -> frozenset[str]:
-    """Op types with a registered shape re-inference rule."""
-    return frozenset(SHAPE_RULES)
 
 
 def infer_output_shape(op_type: str, attrs: dict[str, Any],

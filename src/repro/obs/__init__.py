@@ -36,12 +36,12 @@ from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, counter, gauge, get_registry,
                       histogram, histogram_quantile, install_registry,
                       uninstall_registry)
-from .names import METRIC_NAMES, declare, declared_names, is_declared
+from .names import METRIC_NAMES, is_declared
 from .logging import (LOG_LEVELS, KeyValueFormatter, configure_logging,
                       get_logger)
 from .flight import FlightRecord, FlightRecorder, format_flight_table
-from .slo import (SLOEngine, SLOSpec, SLOStatus, default_fleet_slos,
-                  default_serve_slos, format_slo_report)
+from .slo import (SLOEngine, SLOSpec, SLOStatus, default_serve_slos,
+                  format_slo_report)
 from .summary import (SpanStat, format_metrics_table,
                       format_request_summary, load_trace_file,
                       request_groups, span_stats, span_tree,
@@ -55,11 +55,10 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
     "counter", "gauge", "histogram", "histogram_quantile", "get_registry",
     "install_registry", "uninstall_registry",
-    "METRIC_NAMES", "declare", "declared_names", "is_declared",
+    "METRIC_NAMES", "is_declared",
     "configure_logging", "get_logger", "KeyValueFormatter", "LOG_LEVELS",
     "FlightRecord", "FlightRecorder", "format_flight_table",
     "SLOSpec", "SLOStatus", "SLOEngine", "default_serve_slos",
-    "default_fleet_slos",
     "format_slo_report",
     "SpanStat", "load_trace_file", "span_stats", "summarize_trace",
     "format_metrics_table", "request_groups", "span_tree",

@@ -16,7 +16,7 @@ keeps docs/observability.md's instrumentation table honest.
 
 from __future__ import annotations
 
-__all__ = ["METRIC_NAMES", "declared_names", "is_declared", "declare"]
+__all__ = ["METRIC_NAMES", "is_declared"]
 
 #: name -> one-line help string.  Keep alphabetized within each block.
 METRIC_NAMES: dict[str, str] = {
@@ -119,21 +119,6 @@ METRIC_NAMES: dict[str, str] = {
 }
 
 
-def declared_names() -> frozenset[str]:
-    """The set of governed metric names (S007 checks against this)."""
-    return frozenset(METRIC_NAMES)
-
-
 def is_declared(name: str) -> bool:
     return name in METRIC_NAMES
 
-
-def declare(name: str, description: str = "") -> str:
-    """Runtime escape hatch for extensions: register a name, return it.
-
-    Downstream code embedding repro can declare its own series instead
-    of sprinkling lint opt-outs; returns the name so call sites can do
-    ``counter(declare("my_total", "..."))``.
-    """
-    METRIC_NAMES.setdefault(name, description)
-    return name

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .metrics import Histogram, MetricsRegistry, histogram_quantile
 
 __all__ = ["SLOSpec", "SLOStatus", "SLOEngine", "default_serve_slos",
-           "default_fleet_slos", "format_slo_report"]
+           "format_slo_report"]
 
 
 @dataclass(frozen=True)
@@ -107,35 +107,6 @@ def default_serve_slos() -> tuple[SLOSpec, ...]:
                 bad_counter="serve_dispatch_errors_total",
                 description="<= 1% of requests failed by dispatch "
                             "errors"),
-    )
-
-
-def default_fleet_slos() -> tuple[SLOSpec, ...]:
-    """Stock objectives for the multi-worker fleet (docs/fleet.md).
-
-    The fallback-rate objective is deliberately generous (10%): under
-    worker-kill chaos the fleet is *supposed* to degrade into the
-    fallback chain rather than drop tickets, so the SLO flags sustained
-    degradation, not the occasional failover.
-    """
-    return (
-        SLOSpec(name="fleet-p99-latency", kind="quantile",
-                objective=0.250, quantile=0.99,
-                histogram="fleet_request_latency_seconds",
-                total_counter="fleet_requests_total",
-                description="p99 end-to-end fleet latency <= 250 ms "
-                            "(failover + retry headroom over the "
-                            "single-process serve objective)"),
-        SLOSpec(name="fleet-fallback-rate", kind="ratio", objective=0.10,
-                bad_counter="fleet_fallbacks_total",
-                total_counter="fleet_requests_total",
-                description="<= 10% of fleet requests resolved by the "
-                            "fallback chain instead of a worker"),
-        SLOSpec(name="fleet-stale-rate", kind="ratio", objective=0.05,
-                bad_counter="fleet_stale_results_total",
-                total_counter="fleet_requests_total",
-                description="<= 5% of fleet requests recomputed after a "
-                            "late result from a dead incarnation"),
     )
 
 

@@ -59,14 +59,14 @@ _log = get_logger("serve.service")
 _LATENCY_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
                     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
 
+#: capacity of each _LRU: a session's result cache and encoding memo
+_CACHE_SIZE = 1024
+
 
 class _LRU:
     """Tiny thread-safe bounded LRU (OrderedDict under a lock)."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
+    def __init__(self):
         self._data: OrderedDict = OrderedDict()
         self._lock = new_lock("_LRU._lock")
 
@@ -82,7 +82,7 @@ class _LRU:
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
+            while len(self._data) > _CACHE_SIZE:
                 self._data.popitem(last=False)
 
     def __len__(self) -> int:
@@ -126,12 +126,11 @@ class ModelSession:
     honored (the content key includes the device, so entries never mix).
     """
 
-    def __init__(self, model, device: DeviceSpec, *,
-                 cache_size: int = 1024):
+    def __init__(self, model, device: DeviceSpec):
         self.model = model
         self.device = device
-        self.results = _LRU(cache_size)      # graph_key -> float
-        self.encodings = _LRU(cache_size)    # graph_key -> GraphFeatures
+        self.results = _LRU()      # graph_key -> float
+        self.encodings = _LRU()    # graph_key -> GraphFeatures
 
     def key_for(self, graph, device: DeviceSpec | None = None) -> str:
         return graph_key(graph, device or self.device)
@@ -249,8 +248,6 @@ class PredictorService:
         pass :func:`repro.resilience.default_fallback_chain` built with a
         model/analytical baseline for graceful gnn→analytical→constant
         degradation instead.
-    cache_size:
-        Capacity of the result and encoding LRUs.
     flight_capacity:
         Ring size of the request :class:`~repro.obs.FlightRecorder`
         (last-N request records, always on).  0 disables recording —
@@ -272,13 +269,13 @@ class PredictorService:
                  max_batch_size: int = 32, deadline_s: float = 0.002,
                  max_queue_depth: int = 256,
                  fallback: FallbackPredictor | None = None,
-                 cache_size: int = 1024, flight_capacity: int = 256,
+                 flight_capacity: int = 256,
                  quality=None):
         if session is None:
             if model is None or device is None:
                 raise ValueError(
                     "need either a ModelSession or a (model, device) pair")
-            session = ModelSession(model, device, cache_size=cache_size)
+            session = ModelSession(model, device)
         self.session = session
         self.fallback = fallback if fallback is not None \
             else default_fallback_chain()

@@ -15,11 +15,15 @@ The contracts under test are the PR's acceptance gates:
   tier into the fallback chain instead of raising;
 * ``close()`` drains gracefully and is idempotent; post-close predicts
   degrade synchronously rather than raising;
-* process mode spawns real child processes and matches thread mode.
+* thread and process hosts run one serve step: fault verdicts drawn
+  in arrival order, the clean prefix served, the faulted suffix lost;
+* process mode spawns real child processes, matches thread mode, and
+  survives its kill (``os._exit``) and silent-hang faults.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import threading
 import time
 
@@ -32,9 +36,10 @@ from repro.features import encode_graph
 from repro.gpu import get_device
 from repro.models import ModelConfig, build_model, list_models
 from repro.perf.cache import PredictionCache, graph_key
-from repro.resilience import (ExponentialBackoff, FaultConfig,
-                              FaultInjector)
-from repro.fleet import FleetService, HashRing, Supervisor
+from repro.resilience import (ExponentialBackoff, FallbackPredictor,
+                              FaultConfig, FaultInjector, constant_tier)
+from repro.fleet import (FleetService, HashRing, Supervisor, WorkerCore,
+                         WorkerSpec)
 
 A100 = get_device("A100")
 
@@ -140,6 +145,27 @@ class TestWorkerFaultStream:
     def test_zero_probability_never_faults(self):
         inj = FaultInjector(FaultConfig(), seed=5)
         assert all(inj.worker_fault(0, 0, i) is None for i in range(100))
+
+    def test_serve_step_stops_at_the_first_fault(self):
+        cfg = FaultConfig(worker_kill_prob=0.3, worker_hang_prob=0.1)
+        inj = FaultInjector(cfg, seed=5)
+        verdicts = [inj.worker_fault(1, 0, i) for i in range(50)]
+        first = next(i for i, v in enumerate(verdicts) if v is not None)
+        core = WorkerCore(WorkerSpec(worker_id=1, fault_config=cfg,
+                                     fault_seed=5))
+        drained = [(100 + i, g, None)
+                   for i, g in enumerate(_small_graphs(first + 4))]
+        emitted = []
+        fault = core.serve(drained,
+                           lambda *answer: emitted.append(answer))
+        assert fault == verdicts[first]
+        # the clean prefix is answered in order; the faulted request and
+        # those behind it are not, and drew no verdicts: the stream
+        # resumes right after the fault
+        assert [rid for rid, _, _ in emitted] == \
+            [100 + i for i in range(first)]
+        assert [core.next_fault() for _ in range(20)] == \
+            verdicts[first + 1:first + 21]
 
 
 class TestPredictionCache:
@@ -403,4 +429,37 @@ class TestProcessMode:
         assert served == direct
         assert st["served"]["forward"] == len(graphs)
         assert st["fallbacks"] == {}
+
+    def _certain_fault(self, kind: str, fault: FaultConfig) -> None:
+        """One spawned worker faults on its first request, every time.
+
+        With no retries the orphaned ticket must resolve once, through
+        the fallback chain; the death is counted under ``kind``; and
+        close leaves no child process behind.
+        """
+        g = _small_graphs(1)[0]
+        with obs.observed() as (_tracer, registry):
+            svc = FleetService(
+                num_workers=1, mode="process", fault_config=fault,
+                fault_seed=5, max_retries=0, hang_deadline_s=1.0,
+                fallback=FallbackPredictor([constant_tier(0.25)]))
+            value = svc.predict(g, timeout=60.0)
+            svc.close()
+            st = svc.stats()
+        assert value == 0.25
+        assert st["fallbacks"] == {"retries_exhausted": 1}
+        assert st["served"] == {} and st["stale_results"] == 0
+        assert svc.fallback.counts() == {"constant": 1}
+        deaths = {m.labels["kind"]: m.value for m in registry
+                  if m.name == "fleet_worker_deaths_total"}
+        assert deaths == {kind: 1.0}
+        assert st["closed"] and st["pending"] == 0 and st["workers"] == {}
+        assert not [p for p in mp.active_children()
+                    if p.name.startswith("repro-fleet")]
+
+    def test_kill_fault_exits_the_child_and_degrades(self):
+        self._certain_fault("kill", FaultConfig(worker_kill_prob=1.0))
+
+    def test_hang_fault_is_detected_and_degrades(self):
+        self._certain_fault("hang", FaultConfig(worker_hang_prob=1.0))
 

@@ -275,10 +275,9 @@ class TestAdoption:
         assert np.abs(traced - eager).max() <= 1e-6
 
     def test_worker_core_batches_and_caches(self):
-        from repro.fleet.worker import WorkerCore, WorkerSpec
-        spec = WorkerSpec(worker_id=0)
-        assert spec.max_batch == 8
-        core = WorkerCore(spec)
+        from repro.fleet.worker import _MAX_BATCH, WorkerCore, WorkerSpec
+        assert _MAX_BATCH == 8
+        core = WorkerCore(WorkerSpec(worker_id=0))
         graphs = [build_model(n, ModelConfig(batch_size=bs))
                   for n in ("rnn", "lstm") for bs in (1, 2)]
         outs = core.handle_many([(g, None) for g in graphs])
@@ -286,7 +285,7 @@ class TestAdoption:
         again = core.handle_many([(g, None) for g in graphs])
         assert [tier for _, tier in again] == ["lru"] * len(graphs)
         assert [v for v, _ in again] == [v for v, _ in outs]
-        single = core.handle(graphs[0])
+        single = core.handle_many([(graphs[0], None)])[0]
         assert single == again[0]
 
     def test_executor_emits_metrics(self):
