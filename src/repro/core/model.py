@@ -185,7 +185,5 @@ class DNNOccu(Module):
             except TraceError:
                 # GradModeError is deliberately not caught: a traced
                 # call under grad is a caller bug, not a cache miss.
-                counter("trace_fallback_total",
-                        "batched forwards that fell back to eager after "
-                        "a trace or replay error").inc()
+                counter("trace_fallback_total").inc()
         return np.array(self.forward_batch(batch).data)

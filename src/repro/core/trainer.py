@@ -249,8 +249,8 @@ class Trainer:
                 self._restore_checkpoint(resume_from, rng)
         self.model.train()
         # Hoisted metric handles (no-ops when observability is off).
-        loss_gauge = gauge("trainer_loss", "last epoch mean train loss")
-        lr_gauge = gauge("trainer_lr", "current learning rate")
+        loss_gauge = gauge("trainer_loss")
+        lr_gauge = gauge("trainer_lr")
         for epoch in range(start_epoch, cfg.epochs):
             epoch_t0 = time.perf_counter()
             stop = False
@@ -328,8 +328,7 @@ class Trainer:
             self.model.load_state_dict(best_state)
             # Counted so interrupted-vs-resumed traces can be compared:
             # both runs must restore the same best epoch exactly once.
-            counter("trainer_best_state_restores_total",
-                    "early-stopping best-weights restorations").inc()
+            counter("trainer_best_state_restores_total").inc()
         self.model.eval()
         return self.history
 

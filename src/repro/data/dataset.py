@@ -237,9 +237,7 @@ def generate_dataset(model_names: Sequence[str], devices: Sequence[DeviceSpec],
     finally:
         pool.close()
     for pid, seconds in sorted(busy_s.items()):
-        gauge("perf_worker_busy_seconds",
-              "seconds of evaluation work per generation worker",
-              worker=str(pid)).set(seconds)
+        gauge("perf_worker_busy_seconds", worker=str(pid)).set(seconds)
     return ds
 
 

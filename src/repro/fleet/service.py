@@ -55,11 +55,6 @@ __all__ = ["FleetService"]
 
 _log = get_logger("fleet.service")
 
-#: fleet_request_latency_seconds buckets: LRU hits through a failover
-#: retry that waits out the hang deadline plus a restart backoff.
-_LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-                    0.1, 0.25, 0.5, 1.0, 2.5)
-
 #: how long close() waits for in-flight tickets before degrading them
 _DRAIN_TIMEOUT_S = 10.0
 
@@ -176,10 +171,7 @@ class FleetService:
         self._served: dict = {}
         self._fallbacks: dict = {}
         self._closed = False
-        self._latency = Histogram(
-            "fleet_request_latency_seconds",
-            "end-to-end fleet request latency",
-            buckets=_LATENCY_BUCKETS)
+        self._latency = Histogram("fleet_request_latency_seconds")
 
         # workers first (the supervisor's first health tick must see a
         # fully-populated fleet, and callbacks guard on a None
@@ -214,8 +206,7 @@ class FleetService:
     def predict_async(self, graph, device=None) -> Ticket:
         """Enqueue one request; returns its one-shot :class:`Ticket`."""
         start = time.monotonic()
-        counter("fleet_requests_total",
-                "prediction requests accepted by the fleet").inc()
+        counter("fleet_requests_total").inc()
         dev, dev_name = self._resolve_device(device)
         ticket = Ticket()
         entry = _Pending(ticket, graph, dev, dev_name,
@@ -227,9 +218,7 @@ class FleetService:
                 req_id = self._req_seq
                 self._req_seq += 1
                 self._pending[req_id] = entry
-                gauge("fleet_pending_requests",
-                      "fleet requests awaiting a worker result").set(
-                          len(self._pending))
+                gauge("fleet_pending_requests").set(len(self._pending))
         if closed:
             self._resolve_fallback(entry, "closed")
             return ticket
@@ -328,27 +317,17 @@ class FleetService:
             else:
                 self._pending.pop(req_id)
                 self._served[tier] = self._served.get(tier, 0) + 1
-                gauge("fleet_pending_requests",
-                      "fleet requests awaiting a worker result").set(
-                          len(self._pending))
+                gauge("fleet_pending_requests").set(len(self._pending))
                 self._cond.notify_all()
         if entry is None:
-            counter("fleet_stale_results_total",
-                    "late results from a detached worker incarnation, "
-                    "discarded").inc()
+            counter("fleet_stale_results_total").inc()
             return
-        counter("fleet_served_total",
-                "fleet requests resolved by a worker, by cache tier",
-                tier=tier).inc()
+        counter("fleet_served_total", tier=tier).inc()
         if self._shared is not None:
             if tier == "shared":
-                counter("fleet_shared_cache_hits_total",
-                        "fleet requests served from the shared on-disk "
-                        "prediction tier").inc()
+                counter("fleet_shared_cache_hits_total").inc()
             elif tier == "forward":
-                counter("fleet_shared_cache_misses_total",
-                        "fleet forwards that missed the shared on-disk "
-                        "prediction tier").inc()
+                counter("fleet_shared_cache_misses_total").inc()
         self._observe_latency(entry.start)
         sup = self._supervisor
         if sup is not None:
@@ -388,8 +367,7 @@ class FleetService:
             if exhausted:
                 self._cond.notify_all()
         handle.kill()
-        counter("fleet_worker_deaths_total",
-                "fleet worker deaths, by kind", kind=kind).inc()
+        counter("fleet_worker_deaths_total", kind=kind).inc()
         _log.warning("worker died; rerouting orphans", extra={
             "worker": worker_id, "incarnation": incarnation,
             "kind": kind, "orphans": len(orphans) + len(exhausted)})
@@ -397,9 +375,7 @@ class FleetService:
         if sup is not None and not closed:
             sup.schedule_restart(worker_id)
         for rid in orphans:
-            counter("fleet_retries_total",
-                    "orphaned requests rerouted to a sibling worker "
-                    "after a worker death").inc()
+            counter("fleet_retries_total").inc()
             self._dispatch(rid)
         for entry in exhausted:
             self._resolve_fallback(entry, "retries_exhausted")
@@ -437,8 +413,7 @@ class FleetService:
             handle.kill()
             handle.close()
             return
-        counter("fleet_worker_restarts_total",
-                "fleet workers restarted by the supervisor").inc()
+        counter("fleet_worker_restarts_total").inc()
         _log.info("worker restarted", extra={
             "worker": worker_id, "incarnation": inc})
         # drain the parked backlog: requests that found an empty ring
@@ -475,9 +450,7 @@ class FleetService:
                                     reason)
         with self._cond:
             self._fallbacks[reason] = self._fallbacks.get(reason, 0) + 1
-        counter("fleet_fallbacks_total",
-                "fleet tickets resolved by the fallback chain, "
-                "by reason", reason=reason).inc()
+        counter("fleet_fallbacks_total", reason=reason).inc()
         _log.warning("request degraded to fallback ladder", extra={
             "reason": reason, "tier": tier,
             "graph": getattr(entry.graph, "name", "") or "<graph>"})
@@ -500,17 +473,13 @@ class FleetService:
         with self._cond:
             self._fallbacks["deadline"] = \
                 self._fallbacks.get("deadline", 0) + 1
-        counter("fleet_fallbacks_total",
-                "fleet tickets resolved by the fallback chain, "
-                "by reason", reason="deadline").inc()
+        counter("fleet_fallbacks_total", reason="deadline").inc()
         return value
 
     def _observe_latency(self, start: float) -> float:
         elapsed = time.monotonic() - start
         self._latency.observe(elapsed)
-        histogram("fleet_request_latency_seconds",
-                  "end-to-end fleet request latency",
-                  buckets=_LATENCY_BUCKETS).observe(elapsed)
+        histogram("fleet_request_latency_seconds").observe(elapsed)
         return elapsed
 
     # -- introspection / lifecycle ---------------------------------------- #

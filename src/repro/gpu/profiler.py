@@ -29,13 +29,6 @@ from .occupancy import achieved_occupancy
 
 _log = get_logger("gpu.profiler")
 
-#: histogram bucket bounds for per-kernel durations (microseconds)
-KERNEL_DURATION_BUCKETS_US = (2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-                              500.0, 1000.0, 2500.0, 5000.0, 10000.0)
-
-#: histogram bucket bounds for achieved occupancy (fraction of peak)
-OCCUPANCY_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
 __all__ = ["KernelRecord", "ProfileResult", "profile_graph",
            "estimate_memory_bytes", "check_memory_or_raise",
            "OutOfMemoryError", "SIMULATOR_VERSION"]
@@ -219,23 +212,16 @@ def profile_graph(graph: ComputationGraph, device: DeviceSpec,
                 if on_oom == "raise":
                     raise
                 oom_flag = True
-                counter("resilience_faults_total",
-                        "faults observed by resilience machinery",
-                        component="profiler", kind="oom").inc()
+                counter("resilience_faults_total", component="profiler",
+                        kind="oom").inc()
                 _log.warning("profiling past OOM (degraded)", extra={
                     "model": graph.name, "device": device.name})
 
         # Hoisted metric handles: one registry lookup per profile call,
         # not per kernel (and shared no-ops when observability is off).
-        kernels_total = counter(
-            "profiler_kernels_total", "kernel launches profiled")
-        dur_hist = histogram(
-            "profiler_kernel_duration_us",
-            "per-launch kernel duration (microseconds)",
-            buckets=KERNEL_DURATION_BUCKETS_US)
-        occ_hist = histogram(
-            "profiler_kernel_occupancy",
-            "per-kernel achieved occupancy", buckets=OCCUPANCY_BUCKETS)
+        kernels_total = counter("profiler_kernels_total")
+        dur_hist = histogram("profiler_kernel_duration_us")
+        occ_hist = histogram("profiler_kernel_occupancy")
 
         result = ProfileResult(model_name=graph.name,
                                device_name=device.name)
@@ -282,8 +268,7 @@ def check_memory_or_raise(graph: ComputationGraph,
     required = breakdown["total_bytes"]
     if required <= device.mem_capacity_bytes:
         return
-    counter("profiler_oom_total",
-            "profile attempts rejected by the memory model").inc()
+    counter("profiler_oom_total").inc()
     culprit = ""
     if breakdown["peak_node_id"] is not None:
         culprit = (f" (peak at node {breakdown['peak_node_id']} "

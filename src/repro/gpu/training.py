@@ -91,8 +91,7 @@ def profile_training_graph(graph: ComputationGraph, device: DeviceSpec,
         breakdown = peak_memory_breakdown(graph)
         required = 2 * breakdown["total_bytes"]
         if required > device.mem_capacity_bytes:
-            counter("profiler_oom_total",
-                    "profile attempts rejected by the memory model").inc()
+            counter("profiler_oom_total").inc()
             culprit = ""
             if breakdown["peak_node_id"] is not None:
                 culprit = (f" (peak at node {breakdown['peak_node_id']} "

@@ -978,9 +978,7 @@ class ConcurrencyPass(LintPass):
         model = build_program_model(ctx)
         diags = analyze_program(model)
         for d in diags:
-            counter("lint_concurrency_findings_total",
-                    "concurrency lint findings, by code",
-                    code=d.code).inc()
+            counter("lint_concurrency_findings_total", code=d.code).inc()
         return diags
 
 

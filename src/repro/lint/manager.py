@@ -84,9 +84,7 @@ def _count_diagnostics(diags: list[Diagnostic]) -> None:
     """Record emitted diagnostics in the obs metrics registry (no-op when
     observability is disabled)."""
     for d in diags:
-        counter("lint_diagnostics_total",
-                "lint diagnostics emitted, by severity",
-                severity=d.severity.label).inc()
+        counter("lint_diagnostics_total", severity=d.severity.label).inc()
 
 
 class PassManager:

@@ -175,8 +175,7 @@ def static_acquisition_graph(
 
 def _reject(gate: str, target: str,
             errors: Sequence[Diagnostic]) -> LintError:
-    counter("lint_preflight_failures_total",
-            "inputs rejected by a lint pre-flight gate", gate=gate).inc()
+    counter("lint_preflight_failures_total", gate=gate).inc()
     _log.warning("preflight rejection", extra={
         "gate": gate, "target": target, "errors": len(errors),
         "codes": ",".join(sorted({d.code for d in errors}))})

@@ -187,17 +187,13 @@ class LockWatch:
             samples = list(self._hold_samples)
             self._hold_samples.clear()
         for name, n in sorted(acquires.items()):
-            counter("lockwatch_acquisitions_total",
-                    "lock acquisitions seen by the sanitizer",
-                    lock=name).inc(n)
-        hist = histogram("lockwatch_hold_seconds",
-                         "lock hold times seen by the sanitizer")
+            counter("lockwatch_acquisitions_total", lock=name).inc(n)
+        hist = histogram("lockwatch_hold_seconds")
         for _name, seconds in samples:
             hist.observe(seconds)
         inversions = self.inversions()
         if inversions:
-            counter("lockwatch_inversions_total",
-                    "observed lock-order inversions").inc(len(inversions))
+            counter("lockwatch_inversions_total").inc(len(inversions))
 
 
 # --------------------------------------------------------------------- #

@@ -440,8 +440,9 @@ class MetricNamePass(LintPass):
                         "repro.obs.names.METRIC_NAMES",
                 target=ctx.path, pass_name=self.name, file=ctx.path,
                 line=node.lineno,
-                fix_hint="add the name + help string to METRIC_NAMES "
-                         "(keeping the block alphabetized), or annotate "
+                fix_hint="add one METRIC_NAMES entry (help text, plus "
+                         "buckets for a histogram; keep the block "
+                         "alphabetized), or annotate "
                          f"with `# {_METRIC_OPT_OUT} -- <reason>` if it "
                          "is deliberately ad-hoc"))
         return diags

@@ -5,6 +5,8 @@ for a handle (:func:`counter` / :func:`gauge` / :func:`histogram`); with
 no registry installed — the default — the handle is a shared null metric
 whose methods do nothing, so hot paths pay one global read per *call
 site*, not per observation (handles are meant to be hoisted out of loops).
+Call sites pass only a name and labels: a metric's help text and a
+histogram's buckets are declared once, in :mod:`repro.obs.names`.
 
 Exposition formats:
 
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import json
 import threading
+
+from .names import declared_buckets, help_text
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "DEFAULT_BUCKETS", "histogram_quantile", "counter", "gauge",
@@ -83,14 +87,17 @@ def histogram_quantile(buckets, cumulative, count: int,
 
 
 class _Metric:
-    """Shared name/description/labels plumbing."""
+    """Shared name/description/labels plumbing.
+
+    The description is the help text declared for ``name`` in
+    :data:`repro.obs.names.METRIC_NAMES`, read once at creation.
+    """
 
     kind = "untyped"
 
-    def __init__(self, name: str, description: str = "",
-                 labels: dict[str, str] | None = None):
+    def __init__(self, name: str, *, labels: dict[str, str] | None = None):
         self.name = name
-        self.description = description
+        self.description = help_text(name)
         self.labels = dict(labels or {})
         self._lock = threading.Lock()
 
@@ -103,9 +110,8 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, description: str = "",
-                 labels: dict[str, str] | None = None):
-        super().__init__(name, description, labels)
+    def __init__(self, name: str, *, labels: dict[str, str] | None = None):
+        super().__init__(name, labels=labels)
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -127,9 +133,8 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, description: str = "",
-                 labels: dict[str, str] | None = None):
-        super().__init__(name, description, labels)
+    def __init__(self, name: str, *, labels: dict[str, str] | None = None):
+        super().__init__(name, labels=labels)
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -152,14 +157,19 @@ class Gauge(_Metric):
 
 
 class Histogram(_Metric):
-    """Distribution over fixed buckets (kernel durations, occupancies)."""
+    """Distribution over fixed buckets (kernel durations, occupancies).
+
+    ``buckets`` defaults to the ones declared for ``name`` in
+    :data:`repro.obs.names.METRIC_NAMES`, else :data:`DEFAULT_BUCKETS`.
+    """
 
     kind = "histogram"
 
-    def __init__(self, name: str, description: str = "",
-                 buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-                 labels: dict[str, str] | None = None):
-        super().__init__(name, description, labels)
+    def __init__(self, name: str, buckets: tuple[float, ...] | None = None,
+                 *, labels: dict[str, str] | None = None):
+        super().__init__(name, labels=labels)
+        if buckets is None:
+            buckets = declared_buckets(name) or DEFAULT_BUCKETS
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError("buckets must be a non-empty ascending tuple")
         self.buckets = tuple(float(b) for b in buckets)
@@ -259,13 +269,13 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[tuple, _Metric] = {}
 
-    def _get_or_create(self, cls, name: str, description: str,
-                       labels: dict[str, str] | None, **kwargs) -> _Metric:
+    def _get_or_create(self, cls, name: str,
+                       labels: dict[str, str] | None) -> _Metric:
         key = (name, tuple(sorted((labels or {}).items())))
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = cls(name, description, labels=labels, **kwargs)
+                metric = cls(name, labels=labels)
                 self._metrics[key] = metric
             elif not isinstance(metric, cls):
                 raise TypeError(
@@ -273,20 +283,14 @@ class MetricsRegistry:
                     f"{metric.kind}, not {cls.kind}")
             return metric
 
-    def counter(self, name: str, description: str = "",
-                **labels: str) -> Counter:
-        return self._get_or_create(Counter, name, description,
-                                   labels or None)
+    def counter(self, name: str, **labels: str) -> Counter:
+        return self._get_or_create(Counter, name, labels or None)
 
-    def gauge(self, name: str, description: str = "",
-              **labels: str) -> Gauge:
-        return self._get_or_create(Gauge, name, description, labels or None)
+    def gauge(self, name: str, **labels: str) -> Gauge:
+        return self._get_or_create(Gauge, name, labels or None)
 
-    def histogram(self, name: str, description: str = "",
-                  buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-                  **labels: str) -> Histogram:
-        return self._get_or_create(Histogram, name, description,
-                                   labels or None, buckets=buckets)
+    def histogram(self, name: str, **labels: str) -> Histogram:
+        return self._get_or_create(Histogram, name, labels or None)
 
     def __len__(self) -> int:
         with self._lock:
@@ -353,27 +357,25 @@ def get_registry() -> MetricsRegistry | None:
     return _registry
 
 
-def counter(name: str, description: str = "", **labels: str):
+def counter(name: str, **labels: str):
     """Global-registry counter handle (null metric when obs is off)."""
     reg = _registry
     if reg is None:
         return NULL_METRIC
-    return reg.counter(name, description, **labels)
+    return reg.counter(name, **labels)
 
 
-def gauge(name: str, description: str = "", **labels: str):
+def gauge(name: str, **labels: str):
     """Global-registry gauge handle (null metric when obs is off)."""
     reg = _registry
     if reg is None:
         return NULL_METRIC
-    return reg.gauge(name, description, **labels)
+    return reg.gauge(name, **labels)
 
 
-def histogram(name: str, description: str = "",
-              buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-              **labels: str):
+def histogram(name: str, **labels: str):
     """Global-registry histogram handle (null metric when obs is off)."""
     reg = _registry
     if reg is None:
         return NULL_METRIC
-    return reg.histogram(name, description, buckets=buckets, **labels)
+    return reg.histogram(name, **labels)

@@ -27,7 +27,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .metrics import Histogram, MetricsRegistry, histogram_quantile
+from .metrics import (Histogram, MetricsRegistry, counter,
+                      histogram_quantile)
 
 __all__ = ["SLOSpec", "SLOStatus", "SLOEngine", "default_serve_slos",
            "format_slo_report"]
@@ -176,7 +177,6 @@ class SLOEngine:
     # -- evaluation ------------------------------------------------------ #
     def evaluate(self, now: float) -> list[SLOStatus]:
         """One :class:`SLOStatus` per spec, at bucket-resolution accuracy."""
-        from .metrics import counter as _counter
         out = []
         for spec in self.specs:
             baseline, head = self._window(now, spec.window_s)
@@ -185,11 +185,9 @@ class SLOEngine:
             else:
                 status = self._eval_quantile(spec, baseline, head)
             status.window_s = head.t - baseline.t
-            _counter("slo_evaluations_total",
-                     "SLO spec evaluations performed").inc()
+            counter("slo_evaluations_total").inc()
             if not status.ok:
-                _counter("slo_violations_total",
-                         "SLO evaluations that breached objective").inc()
+                counter("slo_violations_total").inc()
             out.append(status)
         return out
 

@@ -45,11 +45,6 @@ __all__ = ["GraphBatch", "bucket_by_size", "collate", "ensure_spd",
 #: denominators, or gradients.
 NEG_INF = -1e30
 
-#: buckets for the pad-waste fraction (padded slots / total slots, in
-#: [0, 1)); the default Prometheus buckets are latency-shaped and would
-#: collapse every observation into two buckets.
-_WASTE_BUCKETS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
 
 #: Process-wide SPD memo keyed by graph *structure* content hash
 #: (:func:`repro.perf.cache.structure_key`).  Bounded LRU: serving churns
@@ -113,8 +108,7 @@ def ensure_spd(features: GraphFeatures) -> np.ndarray:
         if cached is not None:
             _SPD_MEMO.move_to_end(key)
     if cached is None:
-        counter("perf_spd_memo_misses_total",
-                "SPD computations not served by the structure memo").inc()
+        counter("perf_spd_memo_misses_total").inc()
         cached = spatial_encoding(features.num_nodes, features.edge_index)
         with _SPD_MEMO_LOCK:
             _SPD_MEMO[key] = cached
@@ -122,8 +116,7 @@ def ensure_spd(features: GraphFeatures) -> np.ndarray:
             while len(_SPD_MEMO) > _SPD_MEMO_CAPACITY:
                 _SPD_MEMO.popitem(last=False)
     else:
-        counter("perf_spd_memo_hits_total",
-                "SPD lookups served by the structure memo").inc()
+        counter("perf_spd_memo_hits_total").inc()
     object.__setattr__(features, "_spd_cache", cached)
     return cached
 
@@ -208,9 +201,7 @@ def collate(features_list: Sequence[GraphFeatures]) -> GraphBatch:
         edge_index=edge_index, edgeless_mask=edgeless_mask,
         pad_index=pad_index, node_mask=node_mask, key_bias=key_bias,
         spd=spd, sizes=sizes)
-    histogram("perf_batch_pad_waste",
-              "fraction of padded node slots per collated minibatch",
-              buckets=_WASTE_BUCKETS).observe(batch.pad_waste)
+    histogram("perf_batch_pad_waste").observe(batch.pad_waste)
     return batch
 
 

@@ -145,22 +145,18 @@ class ProfileCache:
         key = cache_key(graph, device)
         path = self._path(key)
         if not os.path.exists(path):
-            counter("perf_cache_misses_total",
-                    "profile-cache lookups that required computing").inc()
+            counter("perf_cache_misses_total").inc()
             return None
         try:
             arrays, meta = load_checkpoint(path, component="perf-cache")
             entry = self._decode(key, arrays, meta)
         except CheckpointError as exc:
-            counter("perf_cache_misses_total",
-                    "profile-cache lookups that required computing").inc()
-            counter("perf_cache_corrupt_total",
-                    "cache entries rejected by the digest check").inc()
+            counter("perf_cache_misses_total").inc()
+            counter("perf_cache_corrupt_total").inc()
             _log.warning("corrupt cache entry; regenerating", extra={
                 "key": key[:12], "error": str(exc)})
             return None
-        counter("perf_cache_hits_total",
-                "profile-cache lookups served from disk").inc()
+        counter("perf_cache_hits_total").inc()
         return entry
 
     def _decode(self, key: str, arrays: dict[str, np.ndarray],

@@ -72,8 +72,7 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray],
         except OSError:
             pass
         raise
-    counter("resilience_checkpoints_total",
-            "checkpoints written", component=component).inc()
+    counter("resilience_checkpoints_total", component=component).inc()
     return digest
 
 
@@ -101,9 +100,8 @@ def load_checkpoint(path: str, component: str = "generic") \
     payload = raw[header_end + 1:]
     actual = hashlib.sha256(payload).hexdigest()
     if actual != digest:
-        counter("resilience_faults_total",
-                "faults observed by resilience machinery",
-                component="checkpoint", kind="corrupt").inc()
+        counter("resilience_faults_total", component="checkpoint",
+                kind="corrupt").inc()
         raise CheckpointError(
             f"checkpoint {path!r} is corrupt: digest mismatch "
             f"(recorded {digest[:12]}..., actual {actual[:12]}...)")
@@ -115,6 +113,5 @@ def load_checkpoint(path: str, component: str = "generic") \
     except (ValueError, KeyError, OSError) as exc:
         raise CheckpointError(
             f"checkpoint {path!r} payload failed to parse: {exc}") from exc
-    counter("resilience_restores_total",
-            "checkpoints successfully restored", component=component).inc()
+    counter("resilience_restores_total", component=component).inc()
     return arrays, meta

@@ -67,9 +67,8 @@ class FallbackPredictor:
             try:
                 mean, std = self._validate(fn(graph, device))
             except Exception as exc:
-                counter("resilience_faults_total",
-                        "faults observed by resilience machinery",
-                        component="predictor", tier=name).inc()
+                counter("resilience_faults_total", component="predictor",
+                        tier=name).inc()
                 _log.warning("prediction tier failed", extra={
                     "tier": name,
                     "graph": getattr(graph, "name", "") or "<graph>",
@@ -93,9 +92,7 @@ class FallbackPredictor:
         self.last_tier = name
         self.tier_counts[name] = self.tier_counts.get(name, 0) + 1
         if rank > 0:
-            counter("resilience_fallbacks_total",
-                    "predictions served by a non-primary tier",
-                    tier=name).inc()
+            counter("resilience_fallbacks_total", tier=name).inc()
 
     def counts(self) -> dict[str, int]:
         """Copy of the per-tier serve counts."""

@@ -38,12 +38,9 @@ from .policies import PackingPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience import FaultInjector
 
-__all__ = ["ClusterResult", "simulate", "RETRY_BUCKETS"]
+__all__ = ["ClusterResult", "simulate"]
 
 _EPS = 1e-12
-
-#: histogram bucket bounds for per-job retry counts
-RETRY_BUCKETS = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0)
 
 
 @dataclass
@@ -303,22 +300,15 @@ def simulate(jobs: Sequence[Job], num_gpus: int, policy: PackingPolicy,
         return out
 
     # Hoisted metric handles (no-ops when observability is off).
-    queue_gauge = gauge("sched_queue_depth", "jobs waiting for placement")
+    queue_gauge = gauge("sched_queue_depth")
     busy_counters = [
-        counter("sched_gpu_busy_seconds_total",
-                "simulated seconds each GPU had >= 1 resident job",
-                gpu=str(g))
+        counter("sched_gpu_busy_seconds_total", gpu=str(g))
         for g in range(num_gpus)]
-    events_total = counter("sched_events_total",
-                           "simulator events processed")
+    events_total = counter("sched_events_total")
     fault_counters = {
-        kind: counter("resilience_faults_total",
-                      "faults observed by resilience machinery",
-                      component="sched", kind=kind)
+        kind: counter("resilience_faults_total", component="sched", kind=kind)
         for kind in ("gpu_down", "crash")}
-    retry_hist = histogram("resilience_retries",
-                           "per-job retry counts over one simulation",
-                           buckets=RETRY_BUCKETS)
+    retry_hist = histogram("resilience_retries")
 
     # One simulate run is one trace: request-scope the outer span (only
     # when tracing, so the untraced hot path mints no ids) and every

@@ -34,9 +34,6 @@ from ..obs.tracing import span
 
 __all__ = ["MicroBatcher", "Ticket", "QueueFullError"]
 
-#: serve_batch_size buckets: powers of two up to the typical max batch.
-_BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
 #: idle-poll period while the queue is empty or paused; submits and
 #: close() notify the condition, so this only bounds shutdown latency.
 _IDLE_WAIT_S = 0.05
@@ -172,9 +169,7 @@ class MicroBatcher:
                     f"{self.max_queue_depth}")
             ticket = Ticket()
             self._pending.append((item, ticket))
-            gauge("serve_queue_depth",
-                  "requests waiting in the micro-batch queue").set(
-                      len(self._pending))
+            gauge("serve_queue_depth").set(len(self._pending))
             self._cond.notify_all()
             return ticket
 
@@ -239,9 +234,7 @@ class MicroBatcher:
                             f"dispatch returned {len(results)} results "
                             f"for {len(items)} requests")
             except Exception as exc:
-                counter("serve_dispatch_errors_total",
-                        "requests failed by a dispatch exception").inc(
-                            len(batch))
+                counter("serve_dispatch_errors_total").inc(len(batch))
                 for _, ticket in batch:
                     self._resolve(ticket, len(items), now,
                                   exception=exc)
@@ -290,9 +283,7 @@ class MicroBatcher:
                 break
             take = min(self.max_batch_size, len(self._pending))
             batch = [self._pending.popleft() for _ in range(take)]
-            gauge("serve_queue_depth",
-                  "requests waiting in the micro-batch queue").set(
-                      len(self._pending))
+            gauge("serve_queue_depth").set(len(self._pending))
             if take == self.max_batch_size:
                 reason = "full"
             elif self._closed:
@@ -302,7 +293,5 @@ class MicroBatcher:
             self.flush_reasons[reason] += 1
             self.batches_dispatched += 1
             self.requests_dispatched += take
-        histogram("serve_batch_size",
-                  "requests coalesced per micro-batch flush",
-                  buckets=_BATCH_BUCKETS).observe(take)
+        histogram("serve_batch_size").observe(take)
         return batch

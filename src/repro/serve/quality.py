@@ -35,12 +35,6 @@ __all__ = ["QualityMonitor", "simulator_labeler"]
 
 _log = get_logger("serve.quality")
 
-#: serve_quality_abs_residual buckets: occupancy is in [0, 1], so
-#: residuals beyond 0.5 are catastrophic.
-_RESIDUAL_BUCKETS = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
-#: serve_quality_ape buckets: 2% is excellent, >50% is garbage.
-_APE_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
-
 
 def simulator_labeler(graph, device) -> float:
     """Ground-truth occupancy from the simulator (the training oracle)."""
@@ -148,16 +142,9 @@ class QualityMonitor:
         actual = float(self.labeler(graph, device))
         residual = prediction - actual
         ape = abs(residual) / max(abs(actual), 1e-6)
-        counter("serve_quality_samples_total",
-                "served predictions re-labeled by the quality "
-                "monitor").inc()
-        histogram("serve_quality_abs_residual",
-                  "|prediction - simulator ground truth| for sampled "
-                  "requests", buckets=_RESIDUAL_BUCKETS).observe(
-                      abs(residual))
-        histogram("serve_quality_ape",
-                  "absolute percentage error for sampled requests",
-                  buckets=_APE_BUCKETS).observe(ape)
+        counter("serve_quality_samples_total").inc()
+        histogram("serve_quality_abs_residual").observe(abs(residual))
+        histogram("serve_quality_ape").observe(ape)
         with self._lock:
             self._labeled += 1
             self._residuals.append(residual)
@@ -172,11 +159,9 @@ class QualityMonitor:
                 and drift > self.drift_threshold
             if alarm:
                 self._alarms += 1
-        gauge("serve_quality_drift_score",
-              "rolling MAPE over the quality window").set(drift)
+        gauge("serve_quality_drift_score").set(drift)
         if alarm:
-            counter("serve_quality_drift_alarms_total",
-                    "rolling-MAPE drift threshold crossings").inc()
+            counter("serve_quality_drift_alarms_total").inc()
             _log.warning("prediction drift above threshold", extra={
                 "drift": round(drift, 4),
                 "threshold": self.drift_threshold})

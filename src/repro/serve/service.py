@@ -54,11 +54,6 @@ __all__ = ["ModelSession", "PredictorService"]
 
 _log = get_logger("serve.service")
 
-#: serve_latency_seconds buckets: the hot path is sub-millisecond cache
-#: hits through ~tens of ms for a cold deadline-flushed forward.
-_LATENCY_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-                    0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
-
 #: capacity of each _LRU: a session's result cache and encoding memo
 _CACHE_SIZE = 1024
 
@@ -143,14 +138,12 @@ class ModelSession:
             key = graph_key(graph, dev)
         feats = self.encodings.get(key)
         if feats is None:
-            counter("serve_encoding_cache_misses_total",
-                    "serve requests that had to encode features").inc()
+            counter("serve_encoding_cache_misses_total").inc()
             feats = encode_graph(graph, dev)
             ensure_spd(feats)
             self.encodings.put(key, feats)
         else:
-            counter("serve_encoding_cache_hits_total",
-                    "serve requests served a memoized encoding").inc()
+            counter("serve_encoding_cache_hits_total").inc()
         return feats
 
     def cached(self, key: str, shared=None) -> "tuple[float, str] | None":
@@ -162,11 +155,9 @@ class ModelSession:
         """
         value = self.results.get(key)
         if value is not None:
-            counter("serve_result_cache_hits_total",
-                    "serve requests answered from the result cache").inc()
+            counter("serve_result_cache_hits_total").inc()
             return value, "lru"
-        counter("serve_result_cache_misses_total",
-                "serve requests that needed a forward pass").inc()
+        counter("serve_result_cache_misses_total").inc()
         if shared is not None:
             value = shared.get(key)
             if value is not None:
@@ -289,10 +280,7 @@ class PredictorService:
             max_queue_depth=max_queue_depth)
         # Local latency histogram: always populated (the registry copy
         # only exists while obs is enabled), feeds latency_quantiles().
-        self._latency = Histogram(
-            "serve_latency_seconds",
-            "end-to-end serve request latency",
-            buckets=_LATENCY_BUCKETS)
+        self._latency = Histogram("serve_latency_seconds")
         self._shed = 0
         self._deadline_sheds = 0
         self._requests = 0
@@ -421,15 +409,13 @@ class PredictorService:
 
     # -- plumbing -------------------------------------------------------- #
     def _count_request(self, n: int = 1) -> None:
-        counter("serve_requests_total",
-                "prediction requests accepted by the service").inc(n)
+        counter("serve_requests_total").inc(n)
         with self._stat_lock:
             self._requests += n
 
     def _shed_request(self, graph, device, start: float,
                       rid, tid, reason: str = "queue full") -> Ticket:
-        counter("serve_shed_total",
-                "requests shed to the fallback chain (queue full)").inc()
+        counter("serve_shed_total").inc()
         with self._stat_lock:
             self._shed += 1
         _log.warning("%s; shedding to fallback chain", reason, extra={
@@ -457,9 +443,7 @@ class PredictorService:
         value = self._fallback_answer(graph, device)
         if not ticket.set_result(value):
             return ticket.result()
-        counter("serve_deadline_shed_total",
-                "requests shed to the fallback chain by a caller-side "
-                "result deadline").inc()
+        counter("serve_deadline_shed_total").inc()
         with self._stat_lock:
             self._deadline_sheds += 1
         _log.warning("result deadline expired; shed to fallback chain",
@@ -525,9 +509,7 @@ class PredictorService:
     def _observe_latency(self, start: float) -> float:
         elapsed = time.monotonic() - start
         self._latency.observe(elapsed)
-        histogram("serve_latency_seconds",
-                  "end-to-end serve request latency",
-                  buckets=_LATENCY_BUCKETS).observe(elapsed)
+        histogram("serve_latency_seconds").observe(elapsed)
         return elapsed
 
     # -- introspection / lifecycle --------------------------------------- #

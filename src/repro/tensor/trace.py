@@ -1089,20 +1089,15 @@ class TracedExecutor:
         with self._lock:
             plan = self.cache.get(sig)
             if plan is None:
-                counter("trace_cache_misses_total",
-                        "batched forwards that had to trace+compile").inc()
+                counter("trace_cache_misses_total").inc()
                 if not allow_trace:
                     raise TraceMissError(
                         f"no compiled plan for signature {sig}")
                 plan = self._compile(batch)
                 self.cache.put(sig, plan)
-                gauge("trace_arena_bytes",
-                      "bytes held by compiled-tape buffer arenas").set(
-                    self.cache.arena_bytes())
+                gauge("trace_arena_bytes").set(self.cache.arena_bytes())
             else:
-                counter("trace_cache_hits_total",
-                        "batched forwards replayed from a compiled "
-                        "tape").inc()
+                counter("trace_cache_hits_total").inc()
             try:
                 return plan.replay(batch)
             except Exception as exc:
@@ -1115,9 +1110,7 @@ class TracedExecutor:
             if self.fuse:
                 tape, fused = fuse_tape(tape)
                 if fused:
-                    counter("trace_fused_ops_total",
-                            "tape ops eliminated by peephole "
-                            "fusion").inc(fused)
+                    counter("trace_fused_ops_total").inc(fused)
             plan = compile_tape(tape, self.model)
             got = plan.replay(batch)
         except (TraceError, GradModeError):

@@ -103,7 +103,7 @@ class TestChromeExport:
 
 class TestCounterGauge:
     def test_counter_monotonic(self):
-        c = obs.Counter("c_total", "help")
+        c = obs.Counter("c_total")
         c.inc()
         c.inc(2.5)
         assert c.value == 3.5
@@ -151,18 +151,33 @@ class TestHistogram:
 class TestPrometheusExposition:
     def test_counter_and_gauge_lines(self):
         reg = obs.MetricsRegistry()
-        reg.counter("jobs_total", "jobs seen").inc(3)
-        reg.gauge("depth", "queue depth").set(1.5)
+        reg.counter("serve_requests_total").inc(3)
+        reg.gauge("serve_queue_depth").set(1.5)
         text = reg.to_prometheus()
-        assert "# HELP jobs_total jobs seen" in text
-        assert "# TYPE jobs_total counter" in text
-        assert "\njobs_total 3\n" in text
-        assert "# TYPE depth gauge" in text
-        assert "\ndepth 1.5\n" in text
+        assert "# HELP serve_requests_total prediction requests accepted " \
+            "by the service" in text
+        assert "# TYPE serve_requests_total counter" in text
+        assert "\nserve_requests_total 3\n" in text
+        assert "# TYPE serve_queue_depth gauge" in text
+        assert "\nserve_queue_depth 1.5\n" in text
+
+    def test_help_comes_from_the_names_table(self, enabled):
+        _, registry = enabled
+        obs.counter("perf_cache_hits_total").inc()
+        text = registry.to_prometheus()
+        assert ("# HELP perf_cache_hits_total "
+                f"{obs.METRIC_NAMES['perf_cache_hits_total']}\n") in text
+
+    def test_histogram_takes_declared_buckets(self):
+        reg = obs.MetricsRegistry()
+        declared = obs.METRIC_NAMES["serve_batch_size"][1]
+        assert reg.histogram("serve_batch_size").buckets == declared
+        assert obs.Histogram("serve_batch_size").buckets == declared
+        assert reg.histogram("undeclared").buckets == obs.DEFAULT_BUCKETS
 
     def test_histogram_series(self):
         reg = obs.MetricsRegistry()
-        h = reg.histogram("lat", "latency", buckets=(1.0, 10.0))
+        h = reg.histogram("lat")  # undeclared: DEFAULT_BUCKETS
         for v in (0.5, 5.0, 50.0):
             h.observe(v)
         text = reg.to_prometheus()
