@@ -1,7 +1,7 @@
 """Consistent-hash ring routing graph keys to fleet workers.
 
 The fleet's router must send the same graph to the same worker so that
-worker's private result/encoding LRUs run hot on a disjoint slice of
+worker's private result LRU runs hot on a disjoint slice of
 the key space — and it must keep doing so *stably* as workers die and
 rejoin.  A modulo assignment reshuffles almost every key when the
 worker count changes; a consistent-hash ring with virtual nodes moves

@@ -1,7 +1,7 @@
 """Fleet workers: a warm model session behind a submit/callback surface.
 
-One worker = one :class:`~repro.serve.ModelSession` (private result +
-encoding LRUs) stacked on the shared on-disk
+One worker = one :class:`~repro.serve.ModelSession` (private result
+LRU) stacked on the shared on-disk
 :class:`~repro.perf.PredictionCache` tier.  :class:`WorkerCore` is the
 mode-agnostic serving logic: the session's cache ladder (LRU, then
 shared tier, then forward), the deterministic per-request fault draw

@@ -2,8 +2,8 @@
 
 The serving path is genuinely multi-threaded — the
 :class:`~repro.serve.batcher.MicroBatcher` dispatcher thread, the
-:class:`~repro.serve.quality.QualityMonitor` re-labeling thread, and
-every client thread calling ``predict`` all touch the same objects.
+fleet's supervisor and worker threads, and every client thread calling
+``predict`` all touch the same objects.
 This pass family analyzes *all* the parsed files of one lint run at once
 (family ``"program"``) and machine-checks the lock discipline:
 

@@ -1,4 +1,4 @@
-"""AST-based self-lint passes (codes ``S000``–``S006``).
+"""AST-based self-lint passes (codes ``S000``–``S007``).
 
 These enforce repo-wide source conventions over ``src/repro`` using only
 the stdlib :mod:`ast` module:
@@ -46,7 +46,7 @@ from .manager import LintPass, SourceContext
 
 __all__ = ["BareExceptPass", "FloatEqualityPass", "DunderAllPass",
            "SleepRetryPass", "PerSampleLoopPass", "DirectPredictPass",
-           "MetricNamePass", "SOURCE_PASSES"]
+           "MetricNamePass", "SOURCE_PASSES", "metric_calls"]
 
 
 class BareExceptPass(LintPass):
@@ -376,6 +376,39 @@ class DirectPredictPass(LintPass):
 
 
 _METRIC_OPT_OUT = "obs: adhoc-metric-ok"
+_METRIC_CALLEES = ("counter", "gauge", "histogram",
+                   "Counter", "Gauge", "Histogram")
+
+
+def metric_calls(tree: ast.AST) -> list[tuple[ast.Call, str]]:
+    """Every metric factory or constructor call with a literal name.
+
+    Returns ``(call, name)`` pairs.  The callee is ``counter`` /
+    ``gauge`` / ``histogram`` or ``Counter`` / ``Gauge`` / ``Histogram``,
+    called bare, as an attribute (``registry.counter(...)``), or through
+    a ``from ... import counter as _c`` alias; a bare name is resolved
+    through the module's aliased imports first, so an alias can neither
+    hide a factory nor pose as one.
+    """
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.asname}
+    calls = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            callee = func.attr
+        elif isinstance(func, ast.Name):
+            callee = aliases.get(func.id, func.id)
+        else:
+            continue
+        first = node.args[0]
+        if callee in _METRIC_CALLEES and isinstance(first, ast.Constant) \
+                and isinstance(first.value, str):
+            calls.append((node, first.value))
+    return calls
 
 
 class MetricNamePass(LintPass):
@@ -384,10 +417,10 @@ class MetricNamePass(LintPass):
     The SLO engine, the ``repro obs`` metric table, and the docs all key
     on metric names; a name invented at a call site works locally and
     then silently never shows up where anyone looks for it.  This pass
-    cross-checks every *literal* first argument of a ``counter`` /
-    ``gauge`` / ``histogram`` factory call (bare or attribute form, so
-    ``registry.counter(...)`` counts too) and of the ``Counter`` /
-    ``Gauge`` / ``Histogram`` constructors against
+    cross-checks the *literal* name of every call :func:`metric_calls`
+    finds (a ``counter`` / ``gauge`` / ``histogram`` factory or a
+    ``Counter`` / ``Gauge`` / ``Histogram`` constructor, called bare, as
+    an attribute or through an import alias) against
     :data:`repro.obs.names.METRIC_NAMES`.
 
     Dynamic (non-literal) names are out of scope.  The registry module
@@ -398,9 +431,6 @@ class MetricNamePass(LintPass):
     name = "metric-name"
     family = "source"
     codes = ("S007",)
-
-    _FACTORIES = ("counter", "gauge", "histogram")
-    _CONSTRUCTORS = ("Counter", "Gauge", "Histogram")
 
     def run(self, ctx: SourceContext) -> list[Diagnostic]:
         path = ctx.path.replace("\\", "/")
@@ -414,24 +444,7 @@ class MetricNamePass(LintPass):
             return any(_METRIC_OPT_OUT in ln for ln in lines[lo:lineno])
 
         diags: list[Diagnostic] = []
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call) and node.args):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                callee = func.attr
-            elif isinstance(func, ast.Name):
-                callee = func.id
-            else:
-                continue
-            if callee not in self._FACTORIES \
-                    and callee not in self._CONSTRUCTORS:
-                continue
-            first = node.args[0]
-            if not (isinstance(first, ast.Constant)
-                    and isinstance(first.value, str)):
-                continue
-            name = first.value
+        for node, name in metric_calls(ctx.tree):
             if is_declared(name) or opted_out(node.lineno):
                 continue
             diags.append(Diagnostic(

@@ -38,7 +38,7 @@ class FlightRecord(NamedTuple):
     device: str
     #: "served" (cache or dispatch), "shed" (fallback), "error"
     outcome: str
-    #: "result_hit" | "encoding_hit" | "miss" — deepest cache consulted
+    #: "result_hit" | "miss" — whether the result cache answered
     cache: str
     latency_s: float
     prediction: Optional[float]

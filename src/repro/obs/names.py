@@ -120,29 +120,12 @@ METRIC_NAMES: dict[str, str | tuple[str, tuple[float, ...]]] = {
                                  "a caller-side result deadline",
     "serve_dispatch_errors_total": "requests failed by a dispatch "
                                    "exception",
-    "serve_encoding_cache_hits_total": "serve requests served a memoized "
-                                       "encoding",
-    "serve_encoding_cache_misses_total": "serve requests that had to "
-                                         "encode features",
     # sub-millisecond cache hits through ~tens of ms for a cold
     # deadline-flushed forward
     "serve_latency_seconds": (
         "end-to-end serve request latency",
         (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
          0.1, 0.25, 0.5, 1.0)),
-    # occupancy is in [0, 1], so residuals beyond 0.5 are catastrophic
-    "serve_quality_abs_residual": (
-        "|prediction - simulator ground truth| for sampled requests",
-        (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)),
-    # 2% is excellent, >50% is garbage
-    "serve_quality_ape": (
-        "absolute percentage error for sampled requests",
-        (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)),
-    "serve_quality_drift_alarms_total": "rolling-MAPE drift threshold "
-                                        "crossings",
-    "serve_quality_drift_score": "rolling MAPE over the quality window",
-    "serve_quality_samples_total": "served predictions re-labeled by the "
-                                   "quality monitor",
     "serve_queue_depth": "requests waiting in the micro-batch queue",
     "serve_requests_total": "prediction requests accepted by the service",
     "serve_result_cache_hits_total": "serve requests answered from the "

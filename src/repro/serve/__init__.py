@@ -8,12 +8,9 @@ This package provides them (see docs/serving.md):
   single-graph requests coalesce into one masked dense forward, flushed
   on max-batch-size or a ~2 ms deadline, whichever first;
 * :mod:`repro.serve.service` — warm :class:`ModelSession` (preloaded
-  weights + content-addressed result/encoding caches) behind the
-  synchronous :class:`PredictorService` facade, with bounded-queue
-  overload shedding into the resilience fallback chain;
-* :mod:`repro.serve.quality` — background :class:`QualityMonitor`
-  re-labeling sampled predictions against the simulator (rolling MAPE,
-  calibration bins, drift alarms; see docs/observability.md).
+  weights + a content-addressed result cache) behind the synchronous
+  :class:`PredictorService` facade, with bounded-queue overload
+  shedding into the resilience fallback chain.
 
 Its throughput/latency gates are ``repro bench --suite serve``
 (:mod:`repro.bench.serve`).
@@ -25,8 +22,7 @@ span tree in Chrome-trace exports.
 """
 
 from .batcher import MicroBatcher, QueueFullError, Ticket
-from .quality import QualityMonitor, simulator_labeler
 from .service import ModelSession, PredictorService
 
 __all__ = ["MicroBatcher", "QueueFullError", "Ticket", "ModelSession",
-           "PredictorService", "QualityMonitor", "simulator_labeler"]
+           "PredictorService"]

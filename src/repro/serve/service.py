@@ -1,12 +1,11 @@
 """Warm model session + synchronous prediction facade.
 
-:class:`ModelSession` owns the preloaded model weights and two bounded
-content-addressed memos keyed by :func:`repro.perf.cache.graph_key`
-(sha256 of graph content + device, simulator-agnostic):
-
-* a **result cache** — repeated graphs skip encode, SPD, *and* forward;
-* an **encoding memo** — cache-warm structures skip encode/SPD and pay
-  only the forward.
+:class:`ModelSession` owns the preloaded model weights and one bounded
+content-addressed result cache keyed by :func:`repro.perf.cache.graph_key`
+(sha256 of graph content + device, simulator-agnostic): a repeated graph
+skips encode, SPD *and* forward.  A miss encodes afresh; its SPD matrix
+is memoized process-wide by graph structure
+(:func:`repro.perf.batching.ensure_spd`).
 
 :class:`PredictorService` is the client surface the scheduler and
 colocation planner adopt: ``predict`` / ``predict_many`` /
@@ -54,7 +53,7 @@ __all__ = ["ModelSession", "PredictorService"]
 
 _log = get_logger("serve.service")
 
-#: capacity of each _LRU: a session's result cache and encoding memo
+#: capacity of a session's result cache
 _CACHE_SIZE = 1024
 
 
@@ -93,29 +92,26 @@ class _Request:
     """One queued prediction request, as the dispatcher will see it.
 
     Carries the request/trace ids minted at enqueue plus enough identity
-    (graph, device, cache outcome) for the flight recorder and quality
-    monitor to describe the request after it resolves on the dispatcher
-    thread.  (Span re-attachment across the queue is the
-    :class:`~repro.serve.batcher.Ticket`'s job, not this one's.)
+    (graph, device) for the flight recorder to describe the request after
+    it resolves on the dispatcher thread.  (Span re-attachment across the
+    queue is the :class:`~repro.serve.batcher.Ticket`'s job, not this
+    one's.)
     """
 
-    __slots__ = ("feats", "key", "start", "graph", "device", "cache",
-                 "rid", "tid")
+    __slots__ = ("feats", "key", "start", "graph", "device", "rid", "tid")
 
-    def __init__(self, feats, key, start, graph, device, cache,
-                 rid, tid):
+    def __init__(self, feats, key, start, graph, device, rid, tid):
         self.feats = feats
         self.key = key
         self.start = start
         self.graph = graph
         self.device = device
-        self.cache = cache
         self.rid = rid
         self.tid = tid
 
 
 class ModelSession:
-    """Preloaded weights plus content-addressed request/encoding memos.
+    """Preloaded weights plus a content-addressed result cache.
 
     ``device`` is the default prediction target; per-call devices are
     honored (the content key includes the device, so entries never mix).
@@ -125,25 +121,15 @@ class ModelSession:
         self.model = model
         self.device = device
         self.results = _LRU()      # graph_key -> float
-        self.encodings = _LRU()    # graph_key -> GraphFeatures
 
     def key_for(self, graph, device: DeviceSpec | None = None) -> str:
         return graph_key(graph, device or self.device)
 
-    def encode(self, graph, device: DeviceSpec | None = None,
-               key: str | None = None) -> GraphFeatures:
-        """Memoized encode + SPD for one (graph, device) pair."""
-        dev = device or self.device
-        if key is None:
-            key = graph_key(graph, dev)
-        feats = self.encodings.get(key)
-        if feats is None:
-            counter("serve_encoding_cache_misses_total").inc()
-            feats = encode_graph(graph, dev)
-            ensure_spd(feats)
-            self.encodings.put(key, feats)
-        else:
-            counter("serve_encoding_cache_hits_total").inc()
+    def encode(self, graph, device: DeviceSpec | None = None) \
+            -> GraphFeatures:
+        """Encode one (graph, device) pair and make its SPD ready."""
+        feats = encode_graph(graph, device or self.device)
+        ensure_spd(feats)
         return feats
 
     def cached(self, key: str, shared=None) -> "tuple[float, str] | None":
@@ -211,7 +197,7 @@ class ModelSession:
         miss = [pos for pos, hit in enumerate(out) if hit is None]
         values = self.forward(
             [keys[pos] for pos in miss],
-            [self.encode(*requests[pos], key=keys[pos]) for pos in miss],
+            [self.encode(*requests[pos]) for pos in miss],
             shared, batch_size=batch_size)
         for pos, value in zip(miss, values):
             out[pos] = (value, "forward")
@@ -245,11 +231,6 @@ class PredictorService:
         together with observability off, that removes per-request
         context creation entirely (the bench overhead guard's
         "untraced baseline").
-    quality:
-        Optional :class:`~repro.serve.quality.QualityMonitor`; every
-        served or shed prediction is offered to it for sampled
-        re-labeling against the simulator.  The caller owns its
-        lifecycle.
     """
 
     #: make_job protocol: call me with (graph, device), not features.
@@ -260,8 +241,7 @@ class PredictorService:
                  max_batch_size: int = 32, deadline_s: float = 0.002,
                  max_queue_depth: int = 256,
                  fallback: FallbackPredictor | None = None,
-                 flight_capacity: int = 256,
-                 quality=None):
+                 flight_capacity: int = 256):
         if session is None:
             if model is None or device is None:
                 raise ValueError(
@@ -272,7 +252,6 @@ class PredictorService:
             else default_fallback_chain()
         self.flight = FlightRecorder(flight_capacity) \
             if flight_capacity > 0 else None
-        self.quality = quality
         self._device_name = getattr(session.device, "name", "?")
         self.batcher = MicroBatcher(
             self._dispatch_batch,
@@ -350,15 +329,12 @@ class PredictorService:
             self._finish(rid, tid, graph, device, elapsed, "served",
                          "result_hit", hit[0])
             return ticket
-        cache = "encoding_hit" if rid is not None and \
-            self.session.encodings.get(key) is not None else "miss"
         with span("serve.encode"):
-            feats = self.session.encode(graph, device, key=key)
+            feats = self.session.encode(graph, device)
         try:
             with span("serve.enqueue"):
                 return self.batcher.submit(
-                    _Request(feats, key, start, graph, device, cache,
-                             rid, tid))
+                    _Request(feats, key, start, graph, device, rid, tid))
         except QueueFullError:
             return self._shed_request(graph, device, start, rid, tid,
                                       reason="queue full")
@@ -391,12 +367,7 @@ class PredictorService:
         answers = self.session.resolve(
             [(graph, device) for graph in graphs],
             batch_size=self.batcher.max_batch_size)
-        out = np.array([value for value, _ in answers], dtype=float)
-        if self.quality is not None:
-            for graph, value in zip(graphs, out):
-                self.quality.offer(graph, device or self.session.device,
-                                   float(value))
-        return out
+        return np.array([value for value, _ in answers], dtype=float)
 
     def __call__(self, graph, device: DeviceSpec | None = None) \
             -> tuple[float, float]:
@@ -475,24 +446,21 @@ class PredictorService:
             now = time.monotonic()
             for req in requests:
                 self._finish(req.rid, req.tid, req.graph, req.device,
-                             now - req.start, "error", req.cache, None,
+                             now - req.start, "error", "miss", None,
                              batch=len(requests),
                              error=type(exc).__name__)
             raise
         for req, value in zip(requests, values):
             elapsed = self._observe_latency(req.start)
             self._finish(req.rid, req.tid, req.graph, req.device,
-                         elapsed, "served", req.cache, value,
+                         elapsed, "served", "miss", value,
                          batch=len(requests))
         return values
 
     def _finish(self, rid, tid, graph, device, latency_s: float,
                 outcome: str, cache: str, value, batch: int = 0,
                 tier=None, error=None) -> None:
-        """Request epilogue: flight record + quality sample offer."""
-        if self.quality is not None and value is not None:
-            self.quality.offer(graph, device or self.session.device,
-                               float(value))
+        """Request epilogue: the flight record."""
         if self.flight is not None and rid is not None:
             # Bare tuple append: this runs per request even with the
             # tracer off, inside the 2% overhead budget — the recorder
@@ -535,15 +503,12 @@ class PredictorService:
             "deadline_shed": deadline_sheds,
             "closed": closed,
             "result_cache_entries": len(self.session.results),
-            "encoding_cache_entries": len(self.session.encodings),
             "latency": self.latency_quantiles(),
             "fallback_tiers": self.fallback.counts(),
             **self.batcher.stats(),
         }
         if self.flight is not None:
             out["flight"] = self.flight.summary()
-        if self.quality is not None:
-            out["quality"] = self.quality.stats()
         return out
 
     def close(self) -> None:

@@ -425,6 +425,27 @@ def test_s007_opt_out_comment(tmp_path):
         "    gauge('scratch_value').set(1.0)\n")
 
 
+def test_s007_aliased_factory_flagged(tmp_path):
+    c = _lint_source(tmp_path,
+                     "__all__ = []\n"
+                     "from repro.obs.metrics import counter as _c\n"
+                     "from repro.obs.metrics import Gauge as G\n"
+                     "def f():\n"
+                     "    _c('undeclared_total').inc()\n"
+                     "    G('undeclared_gauge')\n")
+    assert c["S007"] == 2
+    assert set(c) == {"S007"}
+
+
+def test_s007_alias_named_like_a_factory_is_not_one(tmp_path):
+    assert not _lint_source(
+        tmp_path,
+        "__all__ = []\n"
+        "from textwrap import dedent as counter\n"
+        "def f():\n"
+        "    return counter('  not_a_metric')\n")
+
+
 def test_s007_dynamic_name_out_of_scope(tmp_path):
     assert not _lint_source(
         tmp_path,

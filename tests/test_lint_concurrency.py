@@ -363,9 +363,9 @@ class Outer:
 
 def test_static_acquisition_graph_of_the_tree():
     edges = static_acquisition_graph()
-    assert ("QualityMonitor._cond", "QualityMonitor._lock") in edges
+    assert ("FleetService._cond", "HashRing._lock") in edges
     # the documented lock hierarchy is acyclic: no reverse edge
-    assert ("QualityMonitor._lock", "QualityMonitor._cond") not in edges
+    assert ("HashRing._lock", "FleetService._cond") not in edges
 
 
 def test_source_tree_lints_concurrency_clean():
@@ -523,14 +523,12 @@ def test_instrumented_serve_workload_has_no_inversions(watch):
     from repro.gpu import get_device
     from repro.models import ModelConfig, build_model
     from repro.serve import PredictorService
-    from repro.serve.quality import QualityMonitor
 
     model = DNNOccu(DNNOccuConfig(hidden=16, num_heads=4), seed=3)
     device = get_device("A100")
     graphs = [build_model(n, ModelConfig(batch_size=4))
               for n in ("lenet", "alexnet")]
-    quality = QualityMonitor(sample_every=2, queue_depth=4)
-    with PredictorService(model, device, quality=quality) as svc:
+    with PredictorService(model, device) as svc:
         errors: list = []
 
         def client():
@@ -546,8 +544,6 @@ def test_instrumented_serve_workload_has_no_inversions(watch):
             t.start()
         for t in threads:
             t.join()
-        quality.flush()
-    quality.close()
     assert not errors
     assert watch.acquisitions()  # the serve locks really were watched
     assert watch.inversions() == []

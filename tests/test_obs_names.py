@@ -1,6 +1,7 @@
 """The metric-name table is the one declaration of every series.
 
-Walks ``src/`` the way lint pass S007 does (every ``counter`` /
+Walks ``src/`` with the walker lint pass S007 uses
+(:func:`repro.lint.source_passes.metric_calls`: every ``counter`` /
 ``gauge`` / ``histogram`` factory or ``Counter`` / ``Gauge`` /
 ``Histogram`` constructor call whose first argument is a literal name)
 and checks that the table and the call sites agree.
@@ -11,28 +12,19 @@ from __future__ import annotations
 import ast
 import pathlib
 
-from repro.lint.source_passes import MetricNamePass
+from repro.lint.source_passes import metric_calls
 from repro.obs.names import METRIC_NAMES, declared_buckets, help_text
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-_CALLEES = MetricNamePass._FACTORIES + MetricNamePass._CONSTRUCTORS
 
 
 def _literal_metric_calls() -> list[tuple[str, ast.Call, str]]:
     calls = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and node.args):
-                continue
-            func = node.func
-            callee = func.attr if isinstance(func, ast.Attribute) \
-                else getattr(func, "id", None)
-            first = node.args[0]
-            if callee in _CALLEES and isinstance(first, ast.Constant) \
-                    and isinstance(first.value, str):
-                where = f"{path.relative_to(SRC)}:{node.lineno}"
-                calls.append((where, node, first.value))
+        for node, name in metric_calls(tree):
+            calls.append((f"{path.relative_to(SRC)}:{node.lineno}", node,
+                          name))
     return calls
 
 

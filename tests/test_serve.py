@@ -11,7 +11,7 @@ The contracts under test are the PR's acceptance gates:
 * the queue is bounded: overload sheds to the resilience fallback chain,
   counts the shed requests, and still resolves every ticket;
 * repeated graphs hit the content-addressed result cache (no forward),
-  warm structures hit the SPD/encoding memos (only the forward);
+  and a miss re-encodes while its structure hits the SPD memo;
 * scheduler runs (including chaos mode at fault rate 0) driven through
   ``PredictorService`` are bit-identical to direct-predictor runs.
 """
@@ -294,7 +294,7 @@ class TestOverloadShedding:
 
 
 # --------------------------------------------------------------------- #
-# caches: result / encoding / SPD memo
+# caches: result cache / SPD memo
 # --------------------------------------------------------------------- #
 
 class TestCaches:
@@ -320,17 +320,34 @@ class TestCaches:
         assert counts["serve_result_cache_hits_total"] == 1
         assert counts["serve_result_cache_misses_total"] == 1
 
-    def test_encoding_memo_survives_result_cache_clear(self):
+    def test_repredict_after_result_cache_clear_reencodes(self,
+                                                         monkeypatch):
+        import repro.serve.service as service_mod
         g = _small_graphs(1)[0]
+        model = _model()
+        encodes, forwards = [], []
+        encode, forward = service_mod.encode_graph, model.forward_batch
+
+        def counting_encode(graph, device):
+            encodes.append(1)
+            return encode(graph, device)
+
+        def counting_forward(batch):
+            forwards.append(1)
+            return forward(batch)
+
+        monkeypatch.setattr(service_mod, "encode_graph", counting_encode)
+        model.forward_batch = counting_forward
         with obs.observed() as (_, registry):
-            with PredictorService(_model(), A100) as svc:
-                svc.predict(g)
+            with PredictorService(model, A100) as svc:
+                first = svc.predict(g)
                 svc.session.results.clear()
-                svc.predict(g)  # re-forwards, but must not re-encode
+                second = svc.predict(g)  # re-encodes and re-forwards
+        assert first == second
+        assert len(encodes) == len(forwards) == 2
         counts = _counter_values(registry)
-        assert counts["serve_encoding_cache_misses_total"] == 1
-        assert counts["serve_encoding_cache_hits_total"] == 1
         assert counts["serve_result_cache_misses_total"] == 2
+        assert "serve_result_cache_hits_total" not in counts
 
     def test_spd_memo_shared_across_feature_objects(self):
         """Satellite bugfix: SPD is keyed by content, not per-object."""
@@ -377,40 +394,46 @@ class TestCaches:
 # non-finite answers are returned but never cached
 # --------------------------------------------------------------------- #
 
-def _poison(session, graph) -> str:
-    """Memoize a NaN-poisoned encoding of ``graph``; returns its key."""
-    key = session.key_for(graph)
-    feats = encode_graph(graph, session.device)
-    feats.node_features[0, 0] = np.nan
-    session.encodings.put(key, feats)
-    return key
+def _poison(monkeypatch, session, graph) -> str:
+    """Make serving encode ``graph`` with a NaN feature; returns its key."""
+    import repro.serve.service as service_mod
+    encode = service_mod.encode_graph
+
+    def poisoned(g, device):
+        feats = encode(g, device)
+        if g is graph:
+            feats.node_features[0, 0] = np.nan
+        return feats
+
+    monkeypatch.setattr(service_mod, "encode_graph", poisoned)
+    return session.key_for(graph)
 
 
 class TestNonFinite:
-    def test_predict_does_not_cache_nan(self):
+    def test_predict_does_not_cache_nan(self, monkeypatch):
         g = _small_graphs(1)[0]
         with PredictorService(_model(), A100) as svc:
-            key = _poison(svc.session, g)
+            key = _poison(monkeypatch, svc.session, g)
             assert math.isnan(svc.predict(g))
             assert svc.session.results.get(key) is None
             assert math.isnan(svc.predict(g))  # recomputed, not cached
 
-    def test_predict_many_does_not_cache_nan(self):
+    def test_predict_many_does_not_cache_nan(self, monkeypatch):
         graphs = _small_graphs(3)
         with PredictorService(_model(), A100) as svc:
-            key = _poison(svc.session, graphs[1])
+            key = _poison(monkeypatch, svc.session, graphs[1])
             out = svc.predict_many(graphs)
             assert math.isnan(out[1])
             assert np.isfinite(out[[0, 2]]).all()
             assert svc.session.results.get(key) is None
             assert len(svc.session.results) == 2
 
-    def test_worker_does_not_publish_nan(self, tmp_path):
+    def test_worker_does_not_publish_nan(self, tmp_path, monkeypatch):
         from repro.fleet.worker import WorkerCore, WorkerSpec
         core = WorkerCore(WorkerSpec(worker_id=0, device_name="A100",
                                      shared_cache_dir=str(tmp_path)))
         graphs = _small_graphs(3)
-        key = _poison(core.session, graphs[1])
+        key = _poison(monkeypatch, core.session, graphs[1])
         outs = core.handle_many([(g, None) for g in graphs])
         assert [tier for _, tier in outs] == ["forward"] * 3
         assert math.isnan(outs[1][0])
