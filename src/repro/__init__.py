@@ -2,7 +2,7 @@
 
 Reproduction of Mei et al., "GPU Occupancy Prediction of Deep Learning
 Models Using Graph Neural Network" (IEEE CLUSTER 2023), built entirely on
-NumPy/SciPy/NetworkX:
+NumPy:
 
 * :mod:`repro.tensor` / :mod:`repro.nn` -- autograd engine and NN layers;
 * :mod:`repro.graph` -- the computation-graph IR (ONNX stand-in);

@@ -10,8 +10,6 @@ for unreachable pairs, shared across heads.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import shortest_path
 
 from ..nn import TransformerEncoderLayer
 from ..tensor import Module, Parameter, Tensor
@@ -26,24 +24,65 @@ def spatial_encoding(num_nodes: int, edge_index: np.ndarray) -> np.ndarray:
     """(n, n) int matrix of clipped undirected shortest-path distances.
 
     Bucket ``MAX_SPD + 1`` marks unreachable pairs.  The self-distance is 0.
+
+    A breadth-first search from every node at once, stopped after
+    ``MAX_SPD`` levels.  The frontier is a flat array of ``source * n +
+    node`` pairs; a level expands it through the CSR adjacency and keeps
+    each pair not reached before, once.  A level costs
+    O(frontier * degree), not a dense matrix product.  Pairs the capped
+    search never reached are told apart afterwards: bucket ``MAX_SPD``
+    when they share a connected component, ``MAX_SPD + 1`` otherwise.
     """
     n = num_nodes
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.intp)
-    if edge_index.shape[1] == 0:
-        d = np.full((n, n), MAX_SPD + 1, dtype=np.intp)
-        np.fill_diagonal(d, 0)
-        return d
-    src, dst = edge_index
-    data = np.ones(len(src))
-    adj = sp.coo_matrix((data, (src, dst)), shape=(n, n))
-    dist = shortest_path(adj.tocsr(), method="D", directed=False,
-                         unweighted=True)
-    unreachable = ~np.isfinite(dist)
-    dist[unreachable] = 0  # placeholder; bucket assigned below
-    out = np.minimum(dist, MAX_SPD).astype(np.intp)
-    out[unreachable] = MAX_SPD + 1
+    out = np.full((n, n), MAX_SPD + 1, dtype=np.intp)
+    flat = out.reshape(-1)
+    flat[::n + 1] = 0
+    src, dst = np.asarray(edge_index, dtype=np.intp)
+    ends = np.concatenate([src, dst])
+    nbr = np.concatenate([dst, src])[np.argsort(ends, kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    degree, row_end = np.diff(indptr), indptr[1:]
+    front = np.arange(n) * (n + 1)  # the pairs at distance d - 1
+    for d in range(1, MAX_SPD + 1):
+        sources, nodes = np.divmod(front, n)
+        deg = degree[nodes]
+        cum = np.cumsum(deg)
+        slot = np.arange(deg.sum()) + np.repeat(row_end[nodes] - cum, deg)
+        pairs = np.repeat(sources * n, deg) + nbr[slot]
+        pairs = pairs[flat[pairs] > MAX_SPD]
+        if pairs.size == 0:
+            return out
+        # Several frontier nodes can reach one pair: one mark survives.
+        mark = np.arange(-1, -pairs.size - 1, -1)
+        flat[pairs] = mark
+        front = pairs[flat[pairs] == mark]
+        flat[front] = d
+    root = _component_roots(n, src, dst)
+    np.minimum(out, MAX_SPD + (root[:, None] != root[None, :]), out=out)
     return out
+
+
+def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's connected component (edges undirected).
+
+    A vectorized union-find: each round hooks the larger root of every
+    edge whose ends disagree onto the smaller one, then pointer-jumps
+    until every node points at a root.  A root never hooks onto a larger
+    one, so a component's smallest node stays its root.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[src], root[dst]
+        split = a != b
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 class GraphormerLayer(Module):

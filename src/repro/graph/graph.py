@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-from typing import Any
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any
 
 from .node import DataEdge, OpNode
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ComputationGraph", "GraphValidationError"]
 
@@ -146,6 +147,9 @@ class ComputationGraph:
 
     # -- interop ------------------------------------------------------------- #
     def to_networkx(self) -> nx.DiGraph:
+        """The graph as a ``networkx.DiGraph`` (needs networkx installed)."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         for nid, node in self.nodes.items():
             g.add_node(nid, op_type=node.op_type, flops=node.flops)

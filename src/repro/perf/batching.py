@@ -93,7 +93,8 @@ def ensure_spd(features: GraphFeatures) -> np.ndarray:
     topology, so a freshly re-encoded
     ``GraphFeatures`` for an already-seen structure — the common case on
     the serving path and in repeated ``predict`` calls — reuses the matrix
-    instead of re-running the O(n^3)-ish shortest-path sweep.
+    instead of re-running the capped breadth-first search of
+    :func:`~repro.core.graphormer.spatial_encoding`.
     """
     cached = getattr(features, "_spd_cache", None)
     if cached is not None:

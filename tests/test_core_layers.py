@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (ANEELayer, GraphormerLayer, MAB, MAX_SPD, PMA, SAB,
                         SetTransformerDecoder, spatial_encoding)
+from repro.data import SEEN_MODELS
+from repro.data.dataset import sample_config
+from repro.features import encode_graph
+from repro.gpu import P40
+from repro.models import build_model
 from repro.tensor import Tensor
 
 
@@ -88,6 +95,78 @@ class TestSpatialEncoding:
     def test_empty_graph(self):
         assert spatial_encoding(0, np.zeros((2, 0), dtype=np.intp)).shape \
             == (0, 0)
+
+
+def _scipy_spd(n: int, edge_index: np.ndarray) -> np.ndarray:
+    """Reference SPD buckets: scipy's all-pairs shortest paths, clipped."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import shortest_path
+
+    out = np.full((n, n), MAX_SPD + 1, dtype=np.intp)
+    if n == 0:
+        return out
+    src, dst = edge_index
+    adj = sp.coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    dist = shortest_path(adj.tocsr(), method="D", directed=False,
+                         unweighted=True)
+    reachable = np.isfinite(dist)
+    out[reachable] = np.minimum(dist[reachable], MAX_SPD)
+    return out
+
+
+@st.composite
+def _graphs(draw):
+    """Random undirected multigraphs: isolated nodes, several components,
+    duplicate and reversed edges, and chains longer than ``MAX_SPD``."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    if draw(st.booleans()):  # a chain through a random subset of nodes
+        order = draw(st.permutations(range(n)))
+        length = draw(st.integers(1, n))
+        pairs += list(zip(order[:length - 1], order[1:length]))
+    if pairs and draw(st.booleans()):  # repeat some edges, some reversed
+        picked = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+        pairs += [(b, a) if i % 2 else (a, b)
+                  for i, (a, b) in enumerate(picked)]
+    edge_index = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return n, edge_index
+
+
+class TestSpatialEncodingMatchesScipy:
+    """The capped BFS equals scipy's all-pairs shortest paths, bit for bit."""
+
+    @staticmethod
+    def _check(n, edge_index):
+        got = spatial_encoding(n, edge_index)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, _scipy_spd(n, edge_index))
+
+    @given(_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, graph):
+        self._check(*graph)
+
+    @pytest.mark.parametrize("n, pairs", [
+        (1, []),
+        (1, [(0, 0)]),
+        (6, []),
+        (6, [(0, 1), (1, 0), (0, 1), (3, 4)]),
+        (MAX_SPD + 6, [(i, i + 1) for i in range(MAX_SPD + 3)]
+         + [(MAX_SPD + 5, MAX_SPD + 4)]),
+        (2 * MAX_SPD + 2, [(i + 1, i) for i in range(2 * MAX_SPD + 1)]),
+    ], ids=["single", "self-loop", "edgeless", "dup-reversed-isolated",
+            "long-chain-two-components", "reversed-long-chain"])
+    def test_edge_cases(self, n, pairs):
+        self._check(n, np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+
+    @pytest.mark.parametrize("name", SEEN_MODELS)
+    def test_seen_zoo_graphs(self, name):
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            feats = encode_graph(build_model(name, sample_config(name, rng)),
+                                 P40)
+            self._check(feats.num_nodes, feats.edge_index)
 
 
 class TestGraphormerLayer:
