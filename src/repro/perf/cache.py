@@ -35,7 +35,7 @@ import numpy as np
 from ..features import GraphFeatures
 from ..gpu import DeviceSpec, ProfileResult, SIMULATOR_VERSION
 from ..gpu.profiler import KernelRecord
-from ..graph import ComputationGraph
+from ..graph import ComputationGraph, DataEdge, OpNode
 from ..obs import get_logger
 from ..obs.metrics import counter
 from ..resilience.checkpoint import (CheckpointError, load_checkpoint,
@@ -47,6 +47,14 @@ __all__ = ["ProfileCache", "CacheEntry", "PredictionCache", "cache_key",
 _CACHE_VERSION = 1
 
 _log = get_logger("perf.cache")
+
+
+# The dataclass-generated ``__repr__`` bodies, without the recursion
+# guard dataclasses wraps them in: a node or edge never contains itself,
+# and the guard's bookkeeping costs more than the repr.  The text, and so
+# every key, is unchanged.
+_node_repr = getattr(OpNode.__repr__, "__wrapped__", OpNode.__repr__)
+_edge_repr = getattr(DataEdge.__repr__, "__wrapped__", DataEdge.__repr__)
 
 
 def _update_graph(h: "hashlib._Hash", graph: ComputationGraph,
@@ -61,9 +69,9 @@ def _update_graph(h: "hashlib._Hash", graph: ComputationGraph,
     """
     h.update(graph.name.encode("utf-8"))
     for node in graph.nodes.values():
-        h.update(repr(node).encode("utf-8"))
+        h.update(_node_repr(node).encode("utf-8"))
     for edge in graph.edges:
-        h.update(repr(edge).encode("utf-8"))
+        h.update(_edge_repr(edge).encode("utf-8"))
     h.update(b"\x00")
     h.update(device.name.encode("utf-8"))
 
@@ -174,12 +182,12 @@ class ProfileCache:
             model_name=meta["model_name"], device_name=meta["device_name"],
             busy_time_s=meta["busy_time_s"],
             wall_time_s=meta["wall_time_s"])
-        for occ, dur in zip(arrays["rec_occupancy"],
-                            arrays["rec_duration_s"]):
-            profile.records.append(KernelRecord(
-                name="", node_id=-1, duration_s=float(dur),
-                occupancy=float(occ), theoretical_occupancy=0.0,
-                limiter="", flops=0.0, bytes_moved=0.0, count=1))
+        # tolist() yields the same Python floats as float() of each numpy
+        # scalar, without a scalar object per element.
+        profile.records = [
+            KernelRecord("", -1, dur, occ, 0.0, "", 0.0, 0.0, 1)
+            for occ, dur in zip(arrays["rec_occupancy"].tolist(),
+                                arrays["rec_duration_s"].tolist())]
         features = GraphFeatures(
             node_features=arrays["node_features"],
             edge_features=arrays["edge_features"],
@@ -224,7 +232,7 @@ class ProfileCache:
             # SPD buckets are tiny ints (<= MAX_SPD + 1); persisting them
             # at intp width would make the n x n matrix dominate the entry
             # and its digest check.  _decode widens back to intp.
-            arrays["spd"] = np.asarray(spd).astype(np.uint16)
+            arrays["spd"] = np.asarray(spd).astype(np.uint8)
         save_checkpoint(self._path(key), arrays, meta,
                         component="perf-cache")
         return key

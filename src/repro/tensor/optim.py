@@ -103,8 +103,18 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # Each moment is one flat buffer, and ``_m`` / ``_v`` hold a view
+        # per parameter.  When every parameter has a gradient, a step is a
+        # dozen ops over whole buffers instead of a dozen per parameter.
+        # The arithmetic is elementwise, so the result is the same bit
+        # for bit.
+        ends = np.cumsum([p.data.size for p in self.params])
+        self._spans = list(zip(np.r_[0, ends[:-1]], ends))
+        self._m_flat, self._v_flat, *self._scratch = np.zeros((4, ends[-1]))
+        self._m = [self._m_flat[lo:hi].reshape(p.data.shape)
+                   for p, (lo, hi) in zip(self.params, self._spans)]
+        self._v = [self._v_flat[lo:hi].reshape(p.data.shape)
+                   for p, (lo, hi) in zip(self.params, self._spans)]
         self._t = 0
 
     def step(self) -> None:
@@ -112,6 +122,9 @@ class Adam(Optimizer):
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self._t
         bias2 = 1.0 - b2**self._t
+        if all(p.grad is not None for p in self.params):
+            self._fused_step(bias1, bias2)
+            return
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
@@ -126,6 +139,29 @@ class Adam(Optimizer):
             v_hat = v / bias2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
+    def _fused_step(self, bias1: float, bias2: float) -> None:
+        """The loop body of :meth:`step`, over the flat buffers."""
+        b1, b2 = self.beta1, self.beta2
+        g, tmp = self._scratch
+        np.concatenate([p.grad.ravel() for p in self.params], out=g)
+        if self.weight_decay:
+            np.concatenate([p.data.ravel() for p in self.params], out=tmp)
+            tmp *= self.weight_decay
+            g += tmp
+        m, v = self._m_flat, self._v_flat
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        update = np.divide(m, bias1, out=g)
+        update *= self.lr
+        denom = np.sqrt(np.divide(v, bias2, out=tmp), out=tmp)
+        denom += self.eps
+        update /= denom
+        for p, (lo, hi) in zip(self.params, self._spans):
+            p.data -= update[lo:hi].reshape(p.data.shape)
+
     def state_dict(self) -> dict:
         """Serializable optimizer state (checkpoint/restart support)."""
         return {"lr": self.lr, "t": self._t,
@@ -138,7 +174,7 @@ class Adam(Optimizer):
         self._check_param_count(state["v"])
         self.lr = float(state["lr"])
         self._t = int(state["t"])
-        self._m = [np.asarray(m, dtype=np.float64).copy()
-                   for m in state["m"]]
-        self._v = [np.asarray(v, dtype=np.float64).copy()
-                   for v in state["v"]]
+        for flat, arrays in ((self._m_flat, state["m"]),
+                             (self._v_flat, state["v"])):
+            flat[:] = np.concatenate(
+                [np.asarray(a, dtype=np.float64).ravel() for a in arrays])

@@ -241,6 +241,20 @@ class TestProfileCache:
         monkeypatch.setattr(cache_mod, "SIMULATOR_VERSION", 999)
         assert cache_key(g1, A100) != before
 
+    def test_key_hashes_the_dataclass_reprs(self):
+        # The key streams each node's and edge's repr text; entries
+        # written under it must stay addressable.
+        import hashlib
+
+        from repro.gpu import SIMULATOR_VERSION
+        graph = build_model("vit-t", ModelConfig())
+        h = hashlib.sha256(graph.name.encode())
+        for item in [*graph.nodes.values(), *graph.edges]:
+            h.update(repr(item).encode())
+        h.update(b"\x00" + A100.name.encode() + b"\x00"
+                 + str(SIMULATOR_VERSION).encode())
+        assert cache_key(graph, A100) == h.hexdigest()
+
     def test_corrupt_entry_is_miss_and_regenerated(self, tmp_path):
         graph = build_model("lenet", ModelConfig())
         cache = ProfileCache(str(tmp_path))

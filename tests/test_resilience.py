@@ -295,6 +295,29 @@ class TestCheckpointContainer:
         np.testing.assert_array_equal(loaded["w"], arrays["w"])
         np.testing.assert_array_equal(loaded["b"], arrays["b"])
 
+    @pytest.mark.parametrize("array", [
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.zeros((0, 3)), np.float32(3.5), np.array([True, False]),
+        np.arange(5, dtype=">i4"), np.arange(7, dtype=np.uint8),
+        np.array(["ab", "c"]),
+        np.zeros(2, dtype=[("a", "<i4"), ("b", "<f8")]),
+    ], ids=["fortran", "empty", "scalar", "bool", "big-endian", "uint8",
+            "unicode", "structured"])
+    def test_loads_what_np_load_loads(self, tmp_path, array):
+        path = str(tmp_path / "a.ckpt")
+        save_checkpoint(path, {"x": array}, {})
+        got = load_checkpoint(path)[0]["x"]
+        assert got.dtype == array.dtype and got.shape == np.shape(array)
+        assert got.flags.f_contiguous == np.asarray(array).flags.f_contiguous
+        assert got.flags.writeable
+        np.testing.assert_array_equal(got, array)
+
+    def test_object_array_refused(self, tmp_path):
+        path = str(tmp_path / "a.ckpt")
+        save_checkpoint(path, {"x": np.array([{}, None])}, {})
+        with pytest.raises(CheckpointError, match="failed to parse"):
+            load_checkpoint(path)
+
     def test_no_temp_litter(self, tmp_path):
         save_checkpoint(str(tmp_path / "a.ckpt"), {"x": np.zeros(2)}, {})
         assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]

@@ -141,6 +141,32 @@ class TestOptimizers:
                 opt.step()
         assert abs(w2.data[0]) < abs(w1.data[0])
 
+    def test_adam_whole_buffer_step_matches_per_parameter_step(self):
+        # With every gradient present Adam steps over its flat buffers; a
+        # parameter without one sends it down the per-parameter loop.
+        # Both must move the shared parameters identically.
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (5,), (2, 2, 2), ()]
+        init = [rng.normal(size=s) for s in shapes]
+        grads = [[rng.normal(size=s) for s in shapes] for _ in range(10)]
+
+        def run(idle: bool):
+            ps = [Parameter(x.copy()) for x in init]
+            extra = [Parameter(np.zeros(2))] if idle else []
+            opt = Adam(ps + extra, lr=0.01, weight_decay=0.1)
+            for step, gs in enumerate(grads):
+                for p, g in zip(ps, gs):
+                    p.grad = g
+                opt.lr = 0.01 / (step + 1)
+                opt.step()
+            state = opt.state_dict()
+            return ([p.data for p in ps], state["m"][:len(ps)],
+                    state["v"][:len(ps)])
+
+        for fused, looped in zip(run(idle=False), run(idle=True)):
+            for a, b in zip(fused, looped):
+                np.testing.assert_array_equal(a, b)
+
     def test_optimizer_skips_param_without_grad(self):
         a = Parameter(np.array([1.0]))
         b = Parameter(np.array([1.0]))
