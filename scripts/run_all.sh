@@ -32,6 +32,28 @@ python -m repro profile --model lenet --batch 16 --trace-out "$OBS_TRACE"
 python -m repro obs "$OBS_TRACE"
 rm -f "$OBS_TRACE"
 
+echo "== dataset smoke: a warm cache reproduces the cold dataset through the CLI =="
+DATA_DIR="$(mktemp -d /tmp/repro_dataset.XXXXXX)"
+for OUT in a b; do
+    python -m repro dataset --models lenet rnn --configs-per-model 2 \
+        --cache-dir "$DATA_DIR/cache" --out "$DATA_DIR/$OUT.npz"
+done
+python3 - "$DATA_DIR" <<'PY'
+import sys
+import numpy as np
+from repro.data import load_dataset
+cold, warm = (load_dataset(f"{sys.argv[1]}/{name}.npz") for name in "ab")
+same = len(cold) == len(warm) > 0 and np.array_equal(cold.labels(), warm.labels())
+for a, b in zip(cold, warm):
+    for field in ("node_features", "edge_features", "edge_index"):
+        same = same and np.array_equal(getattr(a.features, field),
+                                       getattr(b.features, field))
+if not same:
+    sys.exit("dataset smoke: the warm-cache dataset differs from the cold one")
+print(f"dataset smoke: {len(warm)} samples identical cold and warm")
+PY
+rm -rf "$DATA_DIR"
+
 echo "== serving SLOs: request-scoped trace + error-budget check =="
 SLO_TRACE="$(mktemp /tmp/repro_slo.XXXXXX.json)"
 python -m repro slo --requests 60 --out "$SLO_TRACE" --check

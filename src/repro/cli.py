@@ -211,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--devices", nargs="+", default=["A100"])
     p.add_argument("--configs-per-model", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel evaluation workers (bit-identical to "
-                        "serial for any value)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed profile/encoding cache directory")
     p.add_argument("--out", required=True, help="output .npz path")
@@ -462,8 +459,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     devices = [get_device(d) for d in args.devices]
     ds = generate_dataset(args.models, devices,
                           configs_per_model=args.configs_per_model,
-                          seed=args.seed, workers=args.workers,
-                          cache_dir=args.cache_dir)
+                          seed=args.seed, cache_dir=args.cache_dir)
     save_dataset(ds, args.out)
     print(f"saved {len(ds)} labelled graphs to {args.out}")
     return 0

@@ -11,17 +11,14 @@ becomes the regression label.
 from __future__ import annotations
 
 import functools
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..features import GraphFeatures, encode_graph
-from ..gpu import DeviceSpec, OutOfMemoryError, get_device, profile_graph
+from ..gpu import DeviceSpec, OutOfMemoryError, profile_graph
 from ..models import MODEL_FAMILY, ModelConfig, build_model
-from ..obs.metrics import gauge
 
 __all__ = ["GraphSample", "Dataset", "sample_config", "generate_dataset",
            "SEEN_MODELS", "UNSEEN_MODELS", "config_domain"]
@@ -114,228 +111,106 @@ def config_domain(model_name: str) -> dict[str, tuple[int, ...]]:
     return dict(_domain_items(MODEL_FAMILY[model_name.lower()]))
 
 
-def sample_config(model_name: str, rng: np.random.Generator,
-                  base: ModelConfig | None = None) -> ModelConfig:
+def sample_config(model_name: str, rng: np.random.Generator) -> ModelConfig:
     """Draw one configuration from the model's Table II domain."""
-    domain = config_domain(model_name)
-    cfg = base or ModelConfig()
-    draws = {key: int(rng.choice(vals)) for key, vals in domain.items()}
-    return cfg.replace(**draws)
+    draws = {key: int(rng.choice(vals))
+             for key, vals in config_domain(model_name).items()}
+    return ModelConfig().replace(**draws)
+
+
+#: attempts per accepted sample before a pair gives up on its quota
+MAX_ATTEMPTS_FACTOR = 4
 
 
 def _attempt_rng(seed: int, mi: int, di: int, k: int) -> np.random.Generator:
     """Independent RNG substream for attempt ``k`` of pair ``(mi, di)``.
 
-    ``SeedSequence`` spawn keys give every (model, device, attempt) work
-    item its own statistically independent stream that depends only on
-    the item's identity — never on which worker evaluates it or in what
-    order — which is what makes parallel generation bit-identical to
-    serial for any worker count.
+    ``SeedSequence`` spawn keys give every (model, device, attempt) its
+    own statistically independent stream that depends only on the
+    attempt's identity, so attempt ``k`` draws the same configuration
+    however many attempts before it were skipped.
     """
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(mi, di, k)))
 
 
-def _evaluate_attempt(item: tuple) -> dict:
-    """Profile + encode one candidate configuration (pool worker body).
+def _evaluate(name: str, cfg: ModelConfig, device: DeviceSpec, cache):
+    """Profile + encode one configuration; ``None`` when it does not fit.
 
-    Pure function of its inputs: the simulator and encoder are
-    deterministic, so the result is identical wherever it runs.
+    With a ``cache`` the result is read from it when present and stored
+    in it otherwise.  Hits return the exact arrays a fresh evaluation
+    would produce, so caching never changes the dataset.
     """
-    name, cfg, device_name = item
-    t0 = time.perf_counter()
-    device = get_device(device_name)
     graph = build_model(name, cfg)
+    if cache is not None:
+        entry = cache.get(graph, device)
+        if entry is not None:
+            return None if entry.oom else (entry.profile, entry.features)
     try:
         prof = profile_graph(graph, device)
     except OutOfMemoryError:
-        return {"oom": True, "pid": os.getpid(),
-                "elapsed": time.perf_counter() - t0}
-    features = encode_graph(graph, device)
-    # Imported lazily: repro.perf reaches repro.core, which imports
-    # this module at package-import time.
-    from ..perf.batching import ensure_spd
-    spd = ensure_spd(features)
-    return {"oom": False, "profile": prof, "features": features,
-            "spd": spd, "num_nodes": graph.num_nodes,
-            "num_edges": graph.num_edges, "pid": os.getpid(),
-            "elapsed": time.perf_counter() - t0}
-
-
-class _LazyPool:
-    """Multiprocessing pool that forks only on first real dispatch.
-
-    Cache-warm generations (and single-item waves) never fan out, so
-    they must not pay pool start-up: on a cold cache the fork cost
-    amortizes over profiling work, on a warm one it would dominate.
-    """
-
-    def __init__(self, n_workers: int):
-        self.n_workers = n_workers
-        self._pool = None
-
-    def map(self, fn, items: list) -> list:
-        if self.n_workers <= 1 or len(items) < 2:
-            return [fn(it) for it in items]
-        if self._pool is None:
-            import multiprocessing as mp
-            try:
-                ctx = mp.get_context("fork")
-            except ValueError:  # pragma: no cover - non-fork platforms
-                ctx = mp.get_context()
-            self._pool = ctx.Pool(processes=self.n_workers)
-        return self._pool.map(fn, items)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
+        prof = features = spd = None
+    else:
+        features = encode_graph(graph, device)
+        # Imported lazily: repro.perf reaches repro.core, which imports
+        # this module at package-import time.
+        from ..perf.batching import ensure_spd
+        spd = ensure_spd(features)
+    if cache is not None:
+        cache.put(graph, device, prof, features, spd=spd)
+    return None if prof is None else (prof, features)
 
 
 def generate_dataset(model_names: Sequence[str], devices: Sequence[DeviceSpec],
                      configs_per_model: int, seed: int = 0,
-                     base: ModelConfig | None = None,
-                     max_attempts_factor: int = 4,
-                     aggregation: str = "mean",
-                     workers: int | None = None,
                      cache_dir: str | None = None) -> Dataset:
     """Profile ``configs_per_model`` sampled configs of each model per device.
 
-    OOM configurations are skipped and redrawn (up to
-    ``max_attempts_factor * configs_per_model`` attempts), mirroring the
-    paper's "run until OOM" boundary.  ``aggregation`` selects the kernel
-    aggregation for the label (Section III-A: mean / max / min; the paper
-    studies mean).
-
-    ``workers=N`` (N > 1) fans candidate evaluations out over a
-    ``multiprocessing`` pool.  Every attempt draws its configuration from
-    a per-item ``SeedSequence`` substream and acceptance is replayed
-    serially in attempt order, so the returned dataset is **bit-identical
-    for any worker count** (including serial) at the same ``seed``.
+    Attempt ``k`` of each (model, device) pair draws its configuration
+    from its own ``SeedSequence`` substream.  A configuration seen before
+    is skipped; one that exceeds device memory is discarded, mirroring
+    the paper's "run until OOM" boundary; every other one is accepted,
+    labelled with its duration-weighted mean occupancy, until the quota
+    is met or ``MAX_ATTEMPTS_FACTOR * configs_per_model`` attempts ran.
 
     ``cache_dir`` enables the content-addressed profile/encoding cache
     (:class:`repro.perf.cache.ProfileCache`): repeated generations reuse
     on-disk results keyed by graph hash + device + simulator version.
-    Cache hits return the exact arrays a fresh evaluation would produce,
-    so caching never changes the dataset either.
     """
     cache = None
     if cache_dir is not None:
         from ..perf.cache import ProfileCache
         cache = ProfileCache(cache_dir)
-    n_workers = int(workers or 1)
-    pool = _LazyPool(n_workers)
-    busy_s: dict[int, float] = {}
-    try:
-        ds = Dataset()
-        for mi, name in enumerate(model_names):
-            for di, device in enumerate(devices):
-                _generate_pair(ds, mi, name, di, device, configs_per_model,
-                               seed, base, max_attempts_factor,
-                               aggregation, cache, pool, n_workers, busy_s)
-    finally:
-        pool.close()
-    for pid, seconds in sorted(busy_s.items()):
-        gauge("perf_worker_busy_seconds", worker=str(pid)).set(seconds)
-    return ds
-
-
-def _generate_pair(ds: Dataset, mi: int, name: str, di: int,
-                   device: DeviceSpec, configs_per_model: int, seed: int,
-                   base: ModelConfig | None, max_attempts_factor: int,
-                   aggregation: str, cache, pool, n_workers: int,
-                   busy_s: dict[int, float]) -> None:
-    """Generate the samples of one (model, device) pair into ``ds``.
-
-    Evaluation (profile + encode, parallelizable, order-free) is
-    separated from acceptance (dedup -> OOM skip -> accept until quota,
-    replayed serially in attempt order), so results cannot depend on
-    worker count or scheduling.
-    """
-    limit = max_attempts_factor * configs_per_model
-    cfgs = [sample_config(name, _attempt_rng(seed, mi, di, k), base)
-            for k in range(limit)]
-    results: dict[int, dict] = {}
-    # Graphs built in the parent for cache-key lookups, kept so a miss
-    # does not have to rebuild the same graph for the cache.put.
-    graphs: dict[int, object] = {}
-    evaluated_upto = 0
-    # Wave size: enough to keep every worker busy while usually covering
-    # the whole quota in one round trip.
-    wave = max(configs_per_model, n_workers)
-
-    def ensure_evaluated(k: int) -> None:
-        nonlocal evaluated_upto
-        if k < evaluated_upto:
-            return
-        hi = min(limit, max(k + 1, evaluated_upto + wave))
-        pending: list[int] = []
-        first_of: dict[tuple, int] = {}
-        for j in range(evaluated_upto, hi):
-            cfg = cfgs[j]
-            ckey = (cfg.batch_size, cfg.in_channels, cfg.seq_len)
-            if ckey in first_of:
-                # Same config, same deterministic result: evaluate once.
-                results[j] = results.get(first_of[ckey], {"alias": first_of[ckey]})
-                continue
-            first_of[ckey] = j
-            if cache is not None:
-                graphs[j] = graph = build_model(name, cfg)
-                entry = cache.get(graph, device)
-                if entry is not None:
-                    if entry.oom:
-                        results[j] = {"oom": True}
-                    else:
-                        results[j] = {
-                            "oom": False, "profile": entry.profile,
-                            "features": entry.features,
-                            "num_nodes": entry.features.num_nodes,
-                            "num_edges": entry.features.num_edges}
+    ds = Dataset()
+    for mi, name in enumerate(model_names):
+        for di, device in enumerate(devices):
+            accepted = 0
+            # Every configuration reached so far was either accepted or
+            # did not fit; a redraw of either would be skipped, so
+            # neither is evaluated twice.
+            seen: set[tuple] = set()
+            for k in range(MAX_ATTEMPTS_FACTOR * configs_per_model):
+                if accepted >= configs_per_model:
+                    break
+                cfg = sample_config(name, _attempt_rng(seed, mi, di, k))
+                key = (cfg.batch_size, cfg.in_channels, cfg.seq_len)
+                if key in seen:
                     continue
-            pending.append(j)
-        if pending:
-            items = [(name, cfgs[j], device.name) for j in pending]
-            outs = pool.map(_evaluate_attempt, items)
-            for j, out in zip(pending, outs):
-                busy_s[out["pid"]] = busy_s.get(out["pid"], 0.0) \
-                    + out["elapsed"]
-                results[j] = out
-                if cache is not None:
-                    cache.put(graphs[j], device,
-                              None if out["oom"] else out["profile"],
-                              None if out["oom"] else out["features"],
-                              spd=out.get("spd"))
-        # Resolve aliases recorded before their target was evaluated.
-        for j in range(evaluated_upto, hi):
-            if "alias" in results[j]:
-                results[j] = results[results[j]["alias"]]
-        evaluated_upto = hi
-
-    accepted = 0
-    seen_cfgs: set[tuple] = set()
-    for k in range(limit):
-        if accepted >= configs_per_model:
-            break
-        ensure_evaluated(k)
-        cfg = cfgs[k]
-        key = (cfg.batch_size, cfg.in_channels, cfg.seq_len)
-        if key in seen_cfgs:
-            continue
-        out = results[k]
-        if out["oom"]:
-            continue
-        seen_cfgs.add(key)
-        accepted += 1
-        prof = out["profile"]
-        ds.samples.append(GraphSample(
-            features=out["features"],
-            occupancy=prof.aggregate_occupancy(aggregation),
-            nvml_utilization=prof.nvml_utilization,
-            wall_time_s=prof.wall_time_s,
-            model_name=name.lower(),
-            device_name=device.name,
-            config=cfg,
-            num_nodes=out["num_nodes"],
-            num_edges=out["num_edges"],
-        ))
+                seen.add(key)
+                out = _evaluate(name, cfg, device, cache)
+                if out is None:
+                    continue
+                prof, features = out
+                accepted += 1
+                ds.samples.append(GraphSample(
+                    features=features,
+                    occupancy=prof.occupancy,
+                    nvml_utilization=prof.nvml_utilization,
+                    wall_time_s=prof.wall_time_s,
+                    model_name=name.lower(),
+                    device_name=device.name,
+                    config=cfg,
+                    num_nodes=features.num_nodes,
+                    num_edges=features.num_edges,
+                ))
+    return ds

@@ -82,10 +82,6 @@ class ProfileResult:
     busy_time_s: float = 0.0
     #: wall time including framework dispatch gaps (seconds)
     wall_time_s: float = 0.0
-    #: the memory model rejected this configuration but profiling
-    #: continued anyway (``profile_graph(..., on_oom="degrade")``); a
-    #: scheduler should treat such a job as evictable, not runnable
-    oom: bool = False
 
     @property
     def num_kernels(self) -> int:
@@ -181,18 +177,12 @@ def _kernel_duration(kern: KernelLaunch, occ: float,
 
 def profile_graph(graph: ComputationGraph, device: DeviceSpec,
                   check_memory: bool = True,
-                  preflight: bool = True,
-                  on_oom: str = "raise") -> ProfileResult:
+                  preflight: bool = True) -> ProfileResult:
     """Simulate one inference iteration of ``graph`` on ``device``.
 
     Raises :class:`OutOfMemoryError` when the working set exceeds device
     memory (mirrors the paper's dataset generation, which scaled batch
-    sizes up until OOM).  In simulation contexts that model eviction
-    rather than hard aborts — chaos scheduling experiments, resilience
-    sweeps — pass ``on_oom="degrade"``: the rejection is logged and
-    counted (``resilience_faults_total{component="profiler",
-    kind="oom"}``) but profiling continues, and the result carries
-    ``oom=True`` so the caller can treat the job as evictable.
+    sizes up until OOM).
 
     With ``preflight`` (the default) the structural
     lint passes run first and a :class:`~repro.lint.LintError` is raised
@@ -200,9 +190,6 @@ def profile_graph(graph: ComputationGraph, device: DeviceSpec,
     instead of producing corrupt kernel records; rejections are counted
     as ``lint_preflight_failures_total{gate="profiler"}``.
     """
-    if on_oom not in ("raise", "degrade"):
-        raise ValueError(f"unknown on_oom policy {on_oom!r}")
-    oom_flag = False
     with span("profile_graph", model=graph.name, device=device.name):
         if preflight:
             # Imported lazily: repro.lint pulls in the feature encoder,
@@ -211,16 +198,7 @@ def profile_graph(graph: ComputationGraph, device: DeviceSpec,
             with span("lint_preflight", model=graph.name):
                 preflight_graph(graph, device=device)
         if check_memory:
-            try:
-                check_memory_or_raise(graph, device)
-            except OutOfMemoryError:
-                if on_oom == "raise":
-                    raise
-                oom_flag = True
-                counter("resilience_faults_total", component="profiler",
-                        kind="oom").inc()
-                _log.warning("profiling past OOM (degraded)", extra={
-                    "model": graph.name, "device": device.name})
+            check_memory_or_raise(graph, device)
 
         # Hoisted metric handles: one registry lookup per profile call,
         # not per kernel (and shared no-ops when observability is off).
@@ -260,7 +238,6 @@ def profile_graph(graph: ComputationGraph, device: DeviceSpec,
             + launches * device.launch_overhead_s
         result.busy_time_s = busy
         result.wall_time_s = busy + gaps
-        result.oom = oom_flag
         return result
 
 

@@ -80,8 +80,6 @@ METRIC_NAMES: dict[str, str | tuple[str, tuple[float, ...]]] = {
                                 "memo",
     "perf_spd_memo_misses_total": "SPD computations not served by the "
                                   "structure memo",
-    "perf_worker_busy_seconds": "seconds of evaluation work per dataset "
-                                "generation worker, labeled by worker pid",
     # -- profiler ------------------------------------------------------- #
     "profiler_kernel_duration_us": (
         "per-launch simulated kernel duration (microseconds)",
@@ -97,10 +95,10 @@ METRIC_NAMES: dict[str, str | tuple[str, tuple[float, ...]]] = {
                                     "component",
     "resilience_fallbacks_total": "predictions served by a non-primary "
                                   "fallback tier, labeled by tier",
-    "resilience_faults_total": "faults observed (profiler OOM, corrupt "
-                               "checkpoint, failed predictor tier, "
-                               "scheduler gpu_down / crash), labeled by "
-                               "component plus kind or tier",
+    "resilience_faults_total": "faults observed (corrupt checkpoint, "
+                               "failed predictor tier, scheduler "
+                               "gpu_down / crash), labeled by component "
+                               "plus kind or tier",
     "resilience_restores_total": "checkpoints successfully restored, "
                                  "labeled by component",
     "resilience_retries": (

@@ -85,18 +85,3 @@ class TestMultimodalTowers:
         with pytest.raises(ValueError):
             build_clip_towers(SMALL, "rn101")
 
-
-class TestAggregationLabels:
-    def test_dataset_aggregation_choice(self):
-        from repro.data import generate_dataset
-        mean_ds = generate_dataset(["lenet"], [A100], 2, seed=3,
-                                   aggregation="mean")
-        max_ds = generate_dataset(["lenet"], [A100], 2, seed=3,
-                                  aggregation="max")
-        assert np.all(max_ds.labels() >= mean_ds.labels())
-
-    def test_unknown_aggregation_raises(self):
-        from repro.data import generate_dataset
-        with pytest.raises(ValueError):
-            generate_dataset(["lenet"], [A100], 1, seed=0,
-                             aggregation="p99")
