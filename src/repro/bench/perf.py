@@ -3,8 +3,9 @@
 * **encode** — node-encoding throughput of the vectorized
   :func:`~repro.features.encode_graph` vs the scalar per-node reference;
 * **train** — training samples/sec of ``Trainer.fit(batched=True)`` vs
-  the per-graph path at the paper's ``batch_size=8``, plus the
-  batched-vs-per-graph forward/gradient equivalence gap;
+  the per-graph path at the paper's ``batch_size=8``, the
+  batched-vs-per-graph forward/gradient equivalence gap, and the memory
+  of one training step on four vit-t graphs (reported, not gated);
 * **generate** — dataset-generation wall time cold and with a warm
   content-addressed cache, with bit-identity asserted across the
   reference, cold-cache and warm datasets (see docs/performance.md).
@@ -15,16 +16,18 @@ from __future__ import annotations
 import hashlib
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
 from ..core import DNNOccu, DNNOccuConfig, TrainConfig, Trainer
-from ..data import Dataset, generate_dataset
+from ..data import SEEN_MODELS, Dataset, generate_dataset
 from ..features import encode_graph
 from ..features.encode import encode_edge, encode_node
 from ..gpu import get_device
 from ..models import ModelConfig, build_model
-from ..perf.batching import clear_spd_memo, collate, spd_memo_disabled
+from ..perf.batching import (bucket_by_size, clear_spd_memo, collate,
+                             ensure_spd, spd_memo_disabled)
 from ..tensor import Tensor
 from .timing import paired_medians
 
@@ -147,14 +150,48 @@ def bench_train(scale: float) -> dict:
         "speedup": per_graph_s / batched_s,
         "max_fwd_diff": max_fwd_diff,
         "max_grad_diff": max_grad_diff,
+        **_step_memory(),
     }
+
+
+def _step_memory() -> dict:
+    """tracemalloc bytes of one batched training step, as ``Trainer.fit``
+    runs it, on a fixed minibatch: the four vit-t graphs (347 nodes) and
+    the first four others of the ``train-epoch`` set (``SEEN_MODELS`` on
+    P40, 4 configs each, seed 1), through DNN-occu as ``repro predict``
+    builds it.  ``step_tape_mib`` is what the forward leaves on the tape,
+    ``step_peak_mib`` the peak through backward."""
+    ds = generate_dataset(SEEN_MODELS, [get_device("P40")],
+                          configs_per_model=4, seed=1)
+    samples = [s for s in ds if s.model_name == "vit-t"][:4] \
+        + [s for s in ds if s.model_name != "vit-t"][:4]
+    feats = [s.features for s in samples]
+    for f in feats:
+        ensure_spd(f)
+    ys = np.array([s.occupancy for s in samples])
+    model = DNNOccu(DNNOccuConfig(hidden=48, num_heads=4), seed=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = None
+        for idx, chunk in bucket_by_size(feats, len(feats)):
+            err = ((model.forward_batch(collate(chunk))
+                    - Tensor(ys[idx])) ** 2).sum()
+            loss = err if loss is None else loss + err
+        tape = tracemalloc.get_traced_memory()[0] - base
+        (loss * (1.0 / len(feats))).backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return {"step_tape_mib": tape / 2**20, "step_peak_mib": peak / 2**20}
 
 
 def train_line(t: dict) -> str:
     return (f"batched {t['batched_samples_per_s']:.1f} samples/s vs "
             f"per-graph {t['per_graph_samples_per_s']:.1f} "
             f"({t['speedup']:.1f}x); max fwd diff {t['max_fwd_diff']:.2e}, "
-            f"grad {t['max_grad_diff']:.2e}")
+            f"grad {t['max_grad_diff']:.2e}; 4-vit-t step tape "
+            f"{t['step_tape_mib']:.1f} MiB, peak {t['step_peak_mib']:.1f} MiB")
 
 
 def bench_generate(scale: float) -> dict:
@@ -178,9 +215,7 @@ def bench_generate(scale: float) -> dict:
             return generate_dataset(models, [device], **kwargs)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as td:
-        t0 = time.perf_counter()
         cold = _cold_generate(cache_dir=td, **kw)
-        cold_cache_s = time.perf_counter() - t0
         warm = generate_dataset(models, [device], cache_dir=td, **kw)
         # Both sides take a fraction of a second, the length of a
         # transient host slowdown, so the headline ratio is paired.
@@ -193,9 +228,7 @@ def bench_generate(scale: float) -> dict:
 
     return {
         "models": models, "configs_per_model": cpm, "pairs": pairs,
-        "serial_cold_s": serial_s, "cold_cache_s": cold_cache_s,
-        "warm_cache_s": warm_s,
-        "cache_hit_speedup": cold_cache_s / warm_s,
+        "serial_cold_s": serial_s, "warm_cache_s": warm_s,
         # The headline gate: a warm content-addressed cache vs the
         # baseline serial cold path.
         "feature_vs_serial_speedup": serial_s / warm_s,
@@ -206,6 +239,5 @@ def bench_generate(scale: float) -> dict:
 def generate_line(g: dict) -> str:
     return (f"serial {g['serial_cold_s']:.2f}s | warm cache "
             f"{g['warm_cache_s']:.2f}s "
-            f"({g['feature_vs_serial_speedup']:.1f}x vs serial, cache hit "
-            f"{g['cache_hit_speedup']:.1f}x) | bit-identical: "
-            f"{g['bit_identical']}")
+            f"({g['feature_vs_serial_speedup']:.1f}x vs serial) | "
+            f"bit-identical: {g['bit_identical']}")

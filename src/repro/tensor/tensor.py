@@ -3,9 +3,13 @@
 This module provides the :class:`Tensor` class used by every neural network
 in the reproduction (the DNN-occu GNN, and the MLP / LSTM / Transformer /
 DNNPerf / BRP-NAS baselines).  The design follows the classic tape-based
-approach: each operation records a closure that propagates the output
-gradient to its inputs, and :meth:`Tensor.backward` replays the tape in
-reverse topological order.
+approach, with the tape kept apart from the tensors: in grad mode each
+operation gives its output a small grad node holding a closure that
+propagates the output gradient to its inputs' nodes, and
+:meth:`Tensor.backward` replays the nodes in reverse topological order.
+A closure holds only the arrays and shapes its backward reads, so an
+intermediate array that no backward reads is freed as soon as the
+forward pass drops its tensor.
 
 All heavy lifting is delegated to vectorized NumPy kernels; no Python-level
 loops run over array elements.  ``float64`` is the default dtype so that the
@@ -76,14 +80,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _index_add(idx, values: np.ndarray,
                shape: tuple[int, ...]) -> np.ndarray:
     """``np.add.at(zeros(shape), idx, values)``, as one ``np.bincount``
-    over flattened (row, column) bins when ``idx`` is an in-range
-    non-negative integer array.  bincount sums each bin in input order
-    from 0.0, as ``add.at`` does, so results are bit-identical.  Other
-    indices (slices, tuples, masks, negative rows) keep ``np.add.at``.
+    when ``idx`` is an in-range non-negative integer array: over ``idx``
+    itself into a 1-D table, else over flattened (row, column) bins.
+    bincount sums each bin in input order from 0.0, as ``add.at`` does,
+    so results are bit-identical.  Other indices (slices, tuples, masks,
+    negative rows) keep ``np.add.at``.
     """
     if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu" and shape \
             and (idx.size == 0
                  or (idx.min() >= 0 and idx.max() < shape[0])):
+        if len(shape) == 1:
+            return np.bincount(idx.ravel(), weights=values.ravel(),
+                               minlength=shape[0])
         r = math.prod(shape[1:])
         bins = idx.astype(np.intp).reshape(-1, 1) * r + np.arange(r)
         return np.bincount(bins.reshape(-1), weights=values.reshape(-1),
@@ -110,8 +118,42 @@ def _attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
     return s
 
 
+#: query rows per block of the attention backward's softmax row sums:
+#: the ``ds * p`` product they sum is built one (..., _ROW_BLOCK, n_kv)
+#: block at a time, never at the full (..., n_q, n_kv) size
+_ROW_BLOCK = 32
+
+
+class _Node:
+    """The grad-graph node of one recorded op's output.
+
+    ``_backward(g, *parents)`` propagates the output gradient ``g`` to
+    the input nodes ``_parents`` (None for an input that needs no
+    gradient).  The node holds no forward data: the closure captures
+    exactly the arrays and shapes its backward reads.
+    """
+
+    __slots__ = ("_backward", "_parents", "grad")
+
+    def __init__(self, backward: Callable[..., None],
+                 parents: tuple) -> None:
+        self._backward = backward
+        self._parents = parents
+        self.grad: np.ndarray | None = None
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        # Ownership rule: ``grad`` may be shared (``__add__`` hands one
+        # buffer to both parents, reshape passes a view), so it is never
+        # written to.  A node borrows it on first arrival and adds out of
+        # place after that; backward() drops it once the closure has run.
+        # A leaf (Tensor._accumulate) copies instead: clip_grad_norm and
+        # the optimizer own the leaf buffers and scale them in place.
+        self.grad = grad if self.grad is None else self.grad + grad
+
+
 class Tensor:
-    """A NumPy-backed array node in an autograd graph.
+    """A NumPy-backed array, with a node in the autograd graph when it
+    is the output of a recorded op.
 
     Parameters
     ----------
@@ -122,14 +164,17 @@ class Tensor:
         :attr:`grad` during :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "name")
+
+    #: a leaf is its own grad node, with no closure and no parents
+    _backward = None
+    _parents = ()
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _grad_enabled()
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._node: _Node | None = None
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -172,41 +217,45 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Graph construction
     # ------------------------------------------------------------------ #
+    def _grad_node(self) -> "_Node | Tensor | None":
+        """The node gradients reach this tensor through: its op's node,
+        the tensor itself when it is a leaf that requires grad, or None
+        when no gradient flows here."""
+        if not self.requires_grad:
+            return None
+        return self if self._node is None else self._node
+
     @staticmethod
     def _make(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[..., None],
     ) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled() and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        if _grad_enabled():
+            nodes = tuple(p._grad_node() for p in parents)
+            if any(n is not None for n in nodes):
+                out.requires_grad = True
+                out._node = _Node(backward, nodes)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        # Ownership rule: ``grad`` may be shared (``__add__`` hands one
-        # buffer to both parents, reshape passes a view), so it is never
-        # written to.  A leaf copies it on first arrival, then adds in
-        # place: clip_grad_norm and the optimizer own the leaf buffers.
-        # An interior node borrows it and adds out of place; backward()
-        # drops it once the node's closure has run.
+        # A leaf copies the first (possibly shared) gradient and adds in
+        # place after that; see _Node._accumulate for interior nodes.
         if self.grad is None:
-            self.grad = grad if self._backward is not None \
-                else np.array(grad, dtype=np.float64)
-        elif self._backward is None:
-            self.grad += grad
+            self.grad = np.array(grad, dtype=np.float64)
         else:
-            self.grad = self.grad + grad
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded tape.
 
         ``grad`` defaults to ones (appropriate for scalar losses).  Only
-        leaf tensors keep a ``.grad`` afterwards.
+        leaf tensors keep a ``.grad`` afterwards; the tape keeps its
+        saved arrays, so a second ``backward()`` accumulates again.
         """
-        if not self.requires_grad:
+        root = self._grad_node()
+        if root is None:
             raise RuntimeError("backward() called on a tensor without grad")
         if grad is None:
             grad = np.ones_like(self.data)
@@ -215,9 +264,9 @@ class Tensor:
 
         # Topological order via iterative DFS (recursion would overflow on
         # deep LSTM unrolls).
-        topo: list[Tensor] = []
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -228,13 +277,13 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                if p is not None and id(p) not in visited:
                     stack.append((p, False))
 
-        self._accumulate(grad)
+        root._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                node._backward(node.grad, *node._parents)
                 node.grad = None
 
     def zero_grad(self) -> None:
@@ -243,28 +292,30 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Arithmetic
     # ------------------------------------------------------------------ #
+    # Each closure takes the output gradient and the input nodes, and
+    # captures only what it reads: an input's array only when the other
+    # input's gradient needs it, otherwise shapes alone.
     @staticmethod
     def _coerce(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data + other.data
+        sa, sb = self.shape, other.shape
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
+        def backward(g: np.ndarray, a, b) -> None:
+            if a is not None:
+                a._accumulate(_unbroadcast(g, sa))
+            if b is not None:
+                b._accumulate(_unbroadcast(g, sb))
 
-        return self._make(out_data, (self, other), backward)
+        return self._make(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(-g)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(-g)
 
         return self._make(-self.data, (self,), backward)
 
@@ -276,31 +327,33 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data * other.data
+        sa, sb = self.shape, other.shape
+        x = self.data if other.requires_grad else None
+        y = other.data if self.requires_grad else None
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
+        def backward(g: np.ndarray, a, b) -> None:
+            if a is not None:
+                a._accumulate(_unbroadcast(g * y, sa))
+            if b is not None:
+                b._accumulate(_unbroadcast(g * x, sb))
 
-        return self._make(out_data, (self, other), backward)
+        return self._make(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data / other.data
+        sa, sb = self.shape, other.shape
+        x = self.data if other.requires_grad else None
+        y = other.data
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data**2), other.shape)
-                )
+        def backward(g: np.ndarray, a, b) -> None:
+            if a is not None:
+                a._accumulate(_unbroadcast(g / y, sa))
+            if b is not None:
+                b._accumulate(_unbroadcast(-g * x / (y**2), sb))
 
-        return self._make(out_data, (self, other), backward)
+        return self._make(self.data / other.data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return self._coerce(other) / self
@@ -308,40 +361,37 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
+        x = self.data
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1))
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * exponent * x ** (exponent - 1))
 
-        return self._make(out_data, (self,), backward)
+        return self._make(x**exponent, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data @ other.data
+        sa, sb = self.shape, other.shape
+        x = self.data if other.requires_grad else None
+        y = other.data if self.requires_grad else None
 
-        def backward(g: np.ndarray) -> None:
-            a, b = self.data, other.data
-            if self.requires_grad:
-                if b.ndim == 1:
-                    ga = np.multiply.outer(g, b) if g.ndim else g * b
-                elif a.ndim == 1:
-                    ga = g @ np.swapaxes(b, -1, -2)
-                    ga = _unbroadcast(ga, a.shape)
+        def backward(g: np.ndarray, a, b) -> None:
+            if a is not None:
+                if len(sb) == 1:
+                    ga = np.multiply.outer(g, y) if g.ndim else g * y
                 else:
-                    ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
-                self._accumulate(ga.reshape(a.shape))
-            if other.requires_grad:
-                if a.ndim == 1:
-                    gb = np.multiply.outer(a, g) if g.ndim else a * g
-                elif b.ndim == 1:
-                    gb = np.swapaxes(a, -1, -2) @ g if g.ndim > 1 else a.T @ g
-                    gb = _unbroadcast(gb, b.shape)
+                    ga = _unbroadcast(g @ np.swapaxes(y, -1, -2), sa)
+                a._accumulate(ga.reshape(sa))
+            if b is not None:
+                if len(sa) == 1:
+                    gb = np.multiply.outer(x, g) if g.ndim else x * g
+                elif len(sb) == 1:
+                    gb = np.swapaxes(x, -1, -2) @ g if g.ndim > 1 else x.T @ g
+                    gb = _unbroadcast(gb, sb)
                 else:
-                    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
-                other._accumulate(gb.reshape(b.shape))
+                    gb = _unbroadcast(np.swapaxes(x, -1, -2) @ g, sb)
+                b._accumulate(gb.reshape(sb))
 
-        return self._make(out_data, (self, other), backward)
+        return self._make(self.data @ other.data, (self, other), backward)
 
     # ------------------------------------------------------------------ #
     # Elementwise nonlinearities
@@ -349,25 +399,24 @@ class Tensor:
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * out_data)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * out_data)
 
         return self._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g / self.data)
+        x = self.data
 
-        return self._make(np.log(self.data), (self,), backward)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g / x)
+
+        return self._make(np.log(x), (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data**2))
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * (1.0 - out_data**2))
 
         return self._make(out_data, (self,), backward)
 
@@ -380,18 +429,16 @@ class Tensor:
             / (1.0 + np.exp(np.clip(self.data, None, 0))),
         )
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data))
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * out_data * (1.0 - out_data))
 
         return self._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * mask)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * mask)
 
         return self._make(self.data * mask, (self,), backward)
 
@@ -399,9 +446,8 @@ class Tensor:
         mask = self.data > 0
         scale = np.where(mask, 1.0, negative_slope)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * scale)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * scale)
 
         return self._make(self.data * scale, (self,), backward)
 
@@ -411,18 +457,16 @@ class Tensor:
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * sign)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * sign)
 
         return self._make(np.abs(self.data), (self,), backward)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         mask = (self.data >= lo) & (self.data <= hi)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * mask)
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g * mask)
 
         return self._make(np.clip(self.data, lo, hi), (self,), backward)
 
@@ -430,21 +474,16 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        shape, ndim = self.shape, self.ndim
 
-        def backward(g: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-                return
-            if not keepdims:
+        def backward(g: np.ndarray, a) -> None:
+            if axis is not None and not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % self.ndim for a in axes)
-                g = np.expand_dims(g, tuple(sorted(axes)))
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+                g = np.expand_dims(g, tuple(sorted(x % ndim for x in axes)))
+            a._accumulate(np.broadcast_to(g, shape).copy())
 
-        return self._make(out_data, (self,), backward)
+        return self._make(self.data.sum(axis=axis, keepdims=keepdims),
+                          (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -455,24 +494,23 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        x = self.data
+        out_data = x.max(axis=axis, keepdims=keepdims)
 
-        def backward(g: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
+        def backward(g: np.ndarray, a) -> None:
             expanded = out_data
             ge = g
             if axis is not None and not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(sorted(a % self.ndim for a in axes))
+                axes = tuple(sorted(i % x.ndim for i in axes))
                 expanded = np.expand_dims(out_data, axes)
                 ge = np.expand_dims(g, axes)
-            mask = self.data == expanded
+            mask = x == expanded
             # Split gradient among ties, matching NumPy's subgradient choice.
             counts = mask.sum(
                 axis=axis, keepdims=True
             ) if axis is not None else mask.sum()
-            self._accumulate(mask * ge / counts)
+            a._accumulate(mask * ge / counts)
 
         return self._make(out_data, (self,), backward)
 
@@ -487,14 +525,12 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
         orig = self.shape
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g.reshape(orig))
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g.reshape(orig))
 
-        return self._make(out_data, (self,), backward)
+        return self._make(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes) -> "Tensor":
         if not axes:
@@ -503,9 +539,8 @@ class Tensor:
             axes = tuple(axes[0])
         inv = np.argsort(axes)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g.transpose(inv))
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g.transpose(inv))
 
         return self._make(self.data.transpose(axes), (self,), backward)
 
@@ -515,13 +550,12 @@ class Tensor:
         return self.transpose(axes)
 
     def __getitem__(self, idx) -> "Tensor":
-        out_data = self.data[idx]
+        shape = self.shape
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_index_add(idx, g, self.shape))
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(_index_add(idx, g, shape))
 
-        return self._make(out_data, (self,), backward)
+        return self._make(self.data[idx], (self,), backward)
 
     @staticmethod
     def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -530,12 +564,12 @@ class Tensor:
         sizes = [t.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
-        def backward(g: np.ndarray) -> None:
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
+        def backward(g: np.ndarray, *nodes) -> None:
+            for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+                if node is not None:
                     sl = [slice(None)] * g.ndim
                     sl[axis] = slice(lo, hi)
-                    t._accumulate(g[tuple(sl)])
+                    node._accumulate(g[tuple(sl)])
 
         return Tensor._make(out_data, tensors, backward)
 
@@ -544,11 +578,11 @@ class Tensor:
         tensors = [Tensor._coerce(t) for t in tensors]
         out_data = np.stack([t.data for t in tensors], axis=axis)
 
-        def backward(g: np.ndarray) -> None:
+        def backward(g: np.ndarray, *nodes) -> None:
             parts = np.moveaxis(g, axis, 0)
-            for t, part in zip(tensors, parts):
-                if t.requires_grad:
-                    t._accumulate(part)
+            for node, part in zip(nodes, parts):
+                if node is not None:
+                    node._accumulate(part)
 
         return Tensor._make(out_data, tensors, backward)
 
@@ -565,9 +599,8 @@ class Tensor:
         out_data = _index_add(index, values.data,
                               (num_rows,) + values.shape[1:])
 
-        def backward(g: np.ndarray) -> None:
-            if values.requires_grad:
-                values._accumulate(g[index])
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g[index])
 
         return Tensor._make(out_data, (values,), backward)
 
@@ -579,10 +612,9 @@ class Tensor:
         e = np.exp(shifted)
         out_data = e / e.sum(axis=axis, keepdims=True)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                dot = (g * out_data).sum(axis=axis, keepdims=True)
-                self._accumulate(out_data * (g - dot))
+        def backward(g: np.ndarray, a) -> None:
+            dot = (g * out_data).sum(axis=axis, keepdims=True)
+            a._accumulate(out_data * (g - dot))
 
         return self._make(out_data, (self,), backward)
 
@@ -592,9 +624,8 @@ class Tensor:
         out_data = shifted - lse
         soft = np.exp(out_data)
 
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        def backward(g: np.ndarray, a) -> None:
+            a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
 
         return self._make(out_data, (self,), backward)
 
@@ -605,35 +636,46 @@ class Tensor:
         ``q`` is ``(..., n_q, d)``, ``k`` and ``v`` are ``(..., n_kv, d)``
         and ``bias`` (a Tensor, an ndarray or None) broadcasts to the
         ``(..., n_q, n_kv)`` scores.  The backward keeps only the
-        probabilities and runs the composed ops' backward arithmetic in
-        their order, so the output and every gradient are bit-identical
-        to ``((q @ kᵀ) * scale + bias).softmax(-1) @ v``.
+        probabilities and the inputs' arrays, and runs the composed ops'
+        backward arithmetic in their order, so the output and every
+        gradient are bit-identical to
+        ``((q @ kᵀ) * scale + bias).softmax(-1) @ v``.
         """
         q, k, v = (Tensor._coerce(t) for t in (q, k, v))
         bias = None if bias is None else Tensor._coerce(bias)
         p = _attention_probs(q.data, k.data, scale,
                              None if bias is None else bias.data)
+        qd = q.data if k.requires_grad else None
+        kd = k.data if q.requires_grad else None
+        vd = v.data
+        bias_shape = None if bias is None else bias.shape
 
-        def backward(g: np.ndarray) -> None:
-            if v.requires_grad:
-                v._accumulate(np.swapaxes(p, -1, -2) @ g)
-            # softmax backward, in the fresh product ds
-            ds = g @ np.swapaxes(v.data, -1, -2)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
+        def backward(g: np.ndarray, nq, nk, nv, nb=None) -> None:
+            if nv is not None:
+                nv._accumulate(np.swapaxes(p, -1, -2) @ g)
+            # softmax backward, in the fresh product ds.  Each row sum of
+            # ds * p is taken over one block of rows at a time: the same
+            # per-row sums, without a full-size product.
+            ds = g @ np.swapaxes(vd, -1, -2)
+            dot = np.empty(ds.shape[:-1] + (1,))
+            for lo in range(0, ds.shape[-2], _ROW_BLOCK):
+                rows = (..., slice(lo, lo + _ROW_BLOCK), slice(None))
+                dot[rows] = (ds[rows] * p[rows]).sum(axis=-1, keepdims=True)
+            ds -= dot
             ds *= p
             gb = None
-            if bias is not None and bias.requires_grad:
-                gb = _unbroadcast(ds, bias.shape)
-                bias._accumulate(gb)
+            if nb is not None:
+                gb = _unbroadcast(ds, bias_shape)
+                nb._accumulate(gb)
             if gb is ds:  # the bias borrowed ds whole: scale a copy
                 ds = ds * scale
             else:
                 ds *= scale
-            if q.requires_grad:
-                q._accumulate(ds @ k.data)
-            if k.requires_grad:
-                k._accumulate(np.swapaxes(
-                    np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
+            if nq is not None:
+                nq._accumulate(ds @ kd)
+            if nk is not None:
+                nk._accumulate(np.swapaxes(
+                    np.swapaxes(qd, -1, -2) @ ds, -1, -2))
 
         parents = (q, k, v) if bias is None else (q, k, v, bias)
         return Tensor._make(p @ v.data, parents, backward)

@@ -3,6 +3,8 @@ plus structural behaviours (broadcasting, tape, no_grad)."""
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -353,16 +355,31 @@ class TestHypothesisProperties:
                                    atol=1e-9)
 
 
-def _tape(root: Tensor) -> list[Tensor]:
-    """Every tensor reachable from ``root`` through recorded parents."""
-    seen: dict[int, Tensor] = {}
-    stack = [root]
+def _tape(root: Tensor) -> list:
+    """Every grad node reachable from ``root`` through recorded parents:
+    op nodes, and the leaf tensors that are their own nodes."""
+    seen: dict[int, object] = {}
+    stack = [root._grad_node()]
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen[id(t)] = t
-            stack.extend(t._parents)
+        node = stack.pop()
+        if node is not None and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
     return list(seen.values())
+
+
+def _tape_arrays(root: Tensor) -> list[np.ndarray]:
+    """Every array the tape holds: the leaves' data and the arrays the
+    op nodes' backward closures saved."""
+    arrays = []
+    for node in _tape(root):
+        if isinstance(node, Tensor):
+            arrays.append(node.data)
+        else:
+            arrays += [c.cell_contents
+                       for c in node._backward.__closure__ or ()
+                       if isinstance(c.cell_contents, np.ndarray)]
+    return arrays
 
 
 def _always_copy(self, grad):
@@ -402,7 +419,7 @@ class TestGradientOwnership:
         loss = (model(self._features("resnet-18", A100)) - 0.5) ** 2
         loss.backward()
         params = model.parameters()
-        datas = [t.data for t in _tape(loss)]
+        datas = [loss.data] + _tape_arrays(loss)
         for i, p in enumerate(params):
             assert p.grad is not None
             for q in params[i + 1:]:
@@ -428,11 +445,11 @@ class TestGradientOwnership:
         w = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
         loss = ((x @ w).tanh() + x[np.array([0, 0, 2])].sum()).sum()
         loss.backward()
-        for t in _tape(loss):
-            if t._backward is None:
-                assert t.grad is not None
+        for node in _tape(loss):
+            if node._backward is None:
+                assert node.grad is not None
             else:
-                assert t.grad is None
+                assert node.grad is None
         # A second backward accumulates into the kept leaf buffers.
         gx = x.grad.copy()
         loss.backward()
@@ -446,6 +463,11 @@ class TestGradientOwnership:
                               (RNG.normal(size=(200, 2, 3)), (9, 2, 3))):
             np.testing.assert_array_equal(_index_add(idx, values, shape),
                                           _add_at(idx, values, shape))
+        # The Graphormer SPD-bias scatter: a (B, n, n) index, 1-D table.
+        spd = RNG.integers(0, 10, size=(3, 6, 6))
+        values = RNG.normal(size=(3, 6, 6))
+        np.testing.assert_array_equal(_index_add(spd, values, (10,)),
+                                      _add_at(spd, values, (10,)))
         with pytest.raises(IndexError):
             _index_add(np.array([0, 7]), np.ones(2), (7,))
 
@@ -453,6 +475,7 @@ class TestGradientOwnership:
         from repro.gpu import A100, P40, RTX2080TI
         from repro.models import list_models
         import repro.tensor.tensor as tensor_mod
+        from repro.tensor.tensor import _Node
         model = self._small_model()
         params = model.parameters()
         for m in list_models():
@@ -466,7 +489,84 @@ class TestGradientOwnership:
                 model.zero_grad()
                 with monkeypatch.context() as patch:
                     patch.setattr(tensor_mod, "_index_add", _add_at)
-                    patch.setattr(Tensor, "_accumulate", _always_copy)
+                    patch.setattr(_Node, "_accumulate", _always_copy)
                     loss.backward()
                 for p, g in zip(params, ours):
                     assert np.array_equal(g, p.grad), f"{m} on {d.name}"
+
+
+class TestTapeKeepsOnlyWhatBackwardReads:
+    """A grad node saves the arrays its backward reads and no others, so
+    every other intermediate array dies with its tensor."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 1.0, lambda x: -x, lambda x: x.sum(axis=0),
+        lambda x: x.mean(axis=1), lambda x: x.reshape(12),
+        lambda x: x.transpose(), lambda x: x[np.array([0, 2, 2])],
+        lambda x: Tensor.concat([x, x], axis=1),
+    ], ids=["add", "neg", "sum", "mean", "reshape", "transpose",
+            "getitem", "concat"])
+    def test_output_array_dies_with_its_tensor(self, op):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        out = op(x)
+        ref = weakref.ref(out.data)
+        loss = (out * 2.0).sum()
+        del out
+        assert ref() is None
+        loss.backward()
+        # The same gradient as a tape whose output stayed alive.
+        y = Tensor(x.data, requires_grad=True)
+        kept = op(y)
+        (kept * 2.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, y.grad)
+
+    @pytest.mark.parametrize("op", [lambda h, w: h * w,
+                                    lambda h, w: h @ w],
+                             ids=["mul", "matmul"])
+    def test_input_saved_only_for_the_other_gradient(self, op):
+        x = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+        w_data = RNG.normal(size=(3, 3))
+        # A constant w: no gradient reads h, so h dies.
+        h = x + 1.0
+        ref = weakref.ref(h.data)
+        loss = op(h, Tensor(w_data)).sum()
+        del h
+        assert ref() is None
+        # A trainable w: its gradient reads h, so the tape keeps it.
+        w = Tensor(w_data, requires_grad=True)
+        h = x + 1.0
+        h_data = h.data.copy()
+        ref = weakref.ref(h.data)
+        loss = op(h, w).sum()
+        del h
+        assert ref() is not None
+        loss.backward()
+        w_ref = Tensor(w_data, requires_grad=True)
+        op(Tensor(h_data), w_ref).sum().backward()
+        np.testing.assert_array_equal(w.grad, w_ref.grad)
+
+    def test_one_vit_t_tape_bytes(self):
+        """One vit-t graph (347 nodes) through DNN-occu as ``repro
+        predict`` builds it (hidden 48, 4 heads) leaves 13.0 MiB on the
+        tape, 7.35 MiB of it the two Graphormer layers' attention
+        probabilities.  A tape that kept every intermediate array read
+        21.1 MiB."""
+        import tracemalloc
+        from repro.core import DNNOccu, DNNOccuConfig
+        from repro.features import encode_graph
+        from repro.gpu import P40
+        from repro.models import ModelConfig, build_model
+        from repro.perf.batching import collate, ensure_spd
+        f = encode_graph(build_model("vit-t", ModelConfig()), P40)
+        ensure_spd(f)
+        batch = collate([f])
+        model = DNNOccu(DNNOccuConfig(hidden=48, num_heads=4), seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = ((model.forward_batch(batch) - 0.5) ** 2).sum()
+            tape = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert tape < 16 * 2**20, f"{tape / 2**20:.2f} MiB"
+        loss.backward()

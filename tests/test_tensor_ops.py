@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor
-from tests.test_tensor_autograd import numeric_grad
+from repro.tensor.tensor import _ROW_BLOCK
+from tests.test_tensor_autograd import _tape, numeric_grad
 
 RNG = np.random.default_rng(17)
 
@@ -335,6 +336,13 @@ def _attention():
         Sample("single node", lambda q, k, v: Tensor.attention(q, k, v),
                (_normal(1, h, 1, d), _normal(1, h, 1, d),
                 _normal(1, h, 1, d))),
+        # More query rows than one block of the backward's softmax row
+        # sums, and a partial last block.
+        Sample("query rows span row blocks",
+               lambda q, k, v, s: Tensor.attention(q, k, v, s, 0.5),
+               (_normal(1, 1, 2 * _ROW_BLOCK + 3, d),
+                _normal(1, 1, n, d), _normal(1, 1, n, d),
+                _normal(1, 1, 2 * _ROW_BLOCK + 3, n))),
     ]
 
 
@@ -436,6 +444,20 @@ def test_every_entry_names_a_node_building_method():
     assert not stale, f"OP_DB entries for no _make builder: {stale}"
 
 
+def test_no_closure_holds_a_tensor():
+    """Every op's backward closure saves arrays and shapes, never a
+    ``Tensor``, so no output tensor outlives its place in the forward."""
+    for op in OP_DB:
+        for sample in op.samples():
+            out = sample.fn(*[Tensor(x.copy(), requires_grad=True)
+                              for x in sample.inputs])
+            for node in _tape(out):
+                cells = getattr(node._backward, "__closure__", None) or ()
+                held = [c.cell_contents for c in cells
+                        if isinstance(c.cell_contents, Tensor)]
+                assert not held, f"{op.name}: {sample.label}"
+
+
 def _leaf_grads(fn, inputs, seed):
     """Output and input gradients of ``fn`` on fresh leaves, seeded."""
     ts = [Tensor(x.copy(), requires_grad=True) for x in inputs]
@@ -479,9 +501,9 @@ class TestFusedAttentionBitIdentity:
             """``attention`` with each Tensor input passed through a node
             that records the gradient reaching it, by call and role."""
             def probe(t, key):
-                def backward(g):
+                def backward(g, node):
                     seen[key] = g.copy()
-                    t._accumulate(g)
+                    node._accumulate(g)
                 return Tensor._make(t.data, (t,), backward)
 
             calls = itertools.count()
